@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 from nonholo.cli import _plot_trace
-from nonholo.sim import FIGURES, named_scenario, run_scenario
+from nonholo.sim import FIGURES, _build_table, named_scenario, run_scenario
 
 
 def main() -> int:
@@ -16,11 +16,12 @@ def main() -> int:
     for name in FIGURES:
         scenario = named_scenario(name)
         t0 = time.perf_counter()
-        trace = run_scenario(scenario)
+        table = _build_table(scenario)
+        trace = run_scenario(scenario, table)
         wall = time.perf_counter() - t0
         total += wall
         trace.to_csv(out / f"{name}_trace.csv")
-        _plot_trace(trace, scenario, out)
+        _plot_trace(trace, scenario, table, out)
         s = trace.summary()
         print(f"{name}: {wall:5.2f} s wall, rms e_C = {s['rms_e']:.4g} m, "
               f"tail rms = {s['rms_e_tail']:.4g} m, "

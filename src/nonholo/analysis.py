@@ -15,9 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateEquilibrium, ModelGuardError, SingularEncounter
+from .errors import DegenerateEquilibrium, GuardTripped, SingularEncounter
 from .models import DriveInput, Variant, eom_rhs
 from .params import ControlGains, VehicleParams
+from .sim import integrate
 
 
 @dataclass(frozen=True)
@@ -224,40 +225,31 @@ class EquivalenceReport:
 
 def _integrate_open_loop(variant: Variant, y0, sc: EquivalenceScenario,
                          params: VehicleParams, to_torque: bool):
-    y = np.array(y0, dtype=float)
-    n = int(round(sc.duration / sc.dt))
-    out = np.empty((n + 1, len(y)))
-    out[0] = y
     r = params.r
-    for i in range(n):
-        t = i * sc.dt
 
-        def rhs(tt, yy):
-            g, gd, gdd = sc.gamma_fn(tt)
-            fr, ff = sc.F_R_fn(tt), sc.F_F_fn(tt)
-            if to_torque:
-                u = DriveInput(gamma=g, gamma_dot=gd, gamma_ddot=gdd,
-                               T_R=r * fr, T_F=r * ff)
-            else:
-                u = DriveInput(gamma=g, gamma_dot=gd, gamma_ddot=gdd,
-                               F_R=fr, F_F=ff)
-            return eom_rhs(variant, yy, u, params)
+    def rhs(t, y):
+        if not all(map(math.isfinite, y)):
+            # diverged inside this step: carry NaN on, reported below
+            return [math.nan] * len(y)
+        g, gd, gdd = sc.gamma_fn(t)
+        fr, ff = sc.F_R_fn(t), sc.F_F_fn(t)
+        drive = dict(T_R=r * fr, T_F=r * ff) if to_torque \
+            else dict(F_R=fr, F_F=ff)
+        u = DriveInput(gamma=g, gamma_dot=gd, gamma_ddot=gdd, **drive)
+        return eom_rhs(variant, y, u, params)
 
-        try:
-            h = sc.dt
-            a = rhs(t, y)
-            b = rhs(t + 0.5 * h, y + 0.5 * h * a)
-            c = rhs(t + 0.5 * h, y + 0.5 * h * b)
-            d = rhs(t + h, y + h * c)
-            y = y + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        except ModelGuardError as exc:
-            raise SingularEncounter(
-                f"{variant.value} hit a guard at t = {t:.4f} s: {exc}") from exc
-        if not np.all(np.isfinite(y)):
-            raise SingularEncounter(
-                f"{variant.value} diverged at t = {t:.4f} s "
-                f"(state left its validity region)")
-        out[i + 1] = y
+    try:
+        _, out = integrate(rhs, y0, sc.dt, sc.duration)
+    except GuardTripped as exc:
+        raise SingularEncounter(
+            f"{variant.value} hit a guard at t = {exc.time:.4f} s: "
+            f"{exc.cause}") from exc
+    # row i + 1 is the state after the step that starts at t = i*dt
+    bad = np.nonzero(~np.all(np.isfinite(out[1:]), axis=1))[0]
+    if len(bad):
+        raise SingularEncounter(
+            f"{variant.value} diverged at t = {bad[0] * sc.dt:.4f} s "
+            f"(state left its validity region)")
     return out
 
 

@@ -18,12 +18,13 @@ import numpy as np
 from .analysis import stability_grid
 from .config import dump_config, scenario_from_config
 from .control import WrapperSpec, wrapper, wrapper_deriv
-from .errors import ConfigError, GuardTripped, NonholoError
+from .errors import ConfigError, GuardTripped, NonClosure, NonholoError
 from .models import (Variant, DriveInput, constraining_forces,
                      constraint_residuals, eom_rhs)
 from .params import VehicleParams
-from .path import CurvatureProfile, build_path
-from .sim import FIGURES, Scenario, SimTrace, named_scenario, run_scenario
+from .path import CurvatureProfile, PathTable, build_path
+from .sim import (FIGURES, Scenario, SimTrace, _build_table, named_scenario,
+                  run_scenario)
 from .svgplot import Panel, figure_panels
 
 
@@ -34,9 +35,8 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _plot_trace(trace: SimTrace, scenario: Scenario, out: Path) -> Path:
-    from .sim import _build_table
-    table = _build_table(scenario)
+def _plot_trace(trace: SimTrace, scenario: Scenario, table: PathTable,
+                out: Path) -> Path:
     traj = Panel("trajectory", "x [m]", "y [m]", equal_aspect=True)
     traj.add("path", table.x, table.y)
     traj.add("vehicle", trace["x_G"], trace["y_G"])
@@ -98,21 +98,26 @@ def cmd_simulate(args) -> int:
             return 2
         if args.dt:
             scenario = replace(scenario, dt=args.dt)
+        if args.dump_config:
+            print(dump_config(scenario), end="")
+            return 0
+        table = _build_table(scenario)
+    except NonClosure as exc:
+        print(f"config error: path key 'step' = {scenario.path_step:g}: {exc}",
+              file=sys.stderr)
+        return 2
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.dump_config:
-        print(dump_config(scenario), end="")
-        return 0
     try:
-        trace = run_scenario(scenario)
+        trace = run_scenario(scenario, table)
     except GuardTripped as exc:
         print(f"guard tripped: {exc}", file=sys.stderr)
         return 3
     trace.to_csv(out / "trace.csv")
     _print_summary(scenario, trace)
     if args.plot is None or args.plot:
-        dest = _plot_trace(trace, scenario, out)
+        dest = _plot_trace(trace, scenario, table, out)
         print(f"wrote {out / 'trace.csv'} and {dest}")
     else:
         print(f"wrote {out / 'trace.csv'}")

@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .models import Variant
 from .params import PARAM_KEYS, ControlGains, VehicleParams
 from .path import CurvatureProfile
-from .sim import MODES, Scenario
+from .sim import MODE_MODELS, MODES, Scenario
 
 _PATH_KEYS = ("kind", "radius", "kappa_max", "s_T", "N", "step", "length")
 _CONTROLLER_KEYS = ("mode", "law", "wrapper_n", "k1", "k2", "k_s", "T_sat",
@@ -86,6 +86,8 @@ def _floats(block: dict[str, str], source: str) -> dict[str, float]:
             out[key] = float(value)
         except ValueError as exc:
             raise ConfigError(f"{source}: key {key!r}: bad number {value!r}") from exc
+        if not math.isfinite(out[key]):
+            raise ConfigError(f"{source}: key {key!r}: {value!r} is not finite")
     return out
 
 
@@ -131,7 +133,12 @@ def scenario_from_config(text: str, source: str = "<config>") -> tuple[Scenario,
         law = cb.pop("law", law)
         wrapper_text = cb.pop("wrapper_n", None)
         if wrapper_text is not None:
-            wrapper_n = math.inf if wrapper_text == "inf" else int(wrapper_text)
+            try:
+                wrapper_n = math.inf if wrapper_text == "inf" \
+                    else int(wrapper_text)
+            except ValueError as exc:
+                raise ConfigError(f"{source}: key 'wrapper_n': expected an "
+                                  f"integer or inf, got {wrapper_text!r}") from exc
         gains = replace(gains, **_floats(cb, source))
     if mode not in MODES:
         raise ConfigError(f"{source}: unknown controller mode {mode!r}")
@@ -146,7 +153,6 @@ def scenario_from_config(text: str, source: str = "<config>") -> tuple[Scenario,
         path_length = pv.get("length")
 
     sim_kwargs: dict = {}
-    variant = Variant.SKATE_KINEMATIC
     if "sim" in blocks:
         sb = dict(blocks["sim"])
         model = sb.pop("model", None)
@@ -155,6 +161,10 @@ def scenario_from_config(text: str, source: str = "<config>") -> tuple[Scenario,
                 variant = Variant(model)
             except ValueError as exc:
                 raise ConfigError(f"{source}: unknown model {model!r}") from exc
+            if variant is not MODE_MODELS[mode]:
+                raise ConfigError(
+                    f"{source}: key 'model': mode {mode!r} runs "
+                    f"{MODE_MODELS[mode].value!r}, not {model!r}")
         sim_kwargs = _floats(sb, source)
     duration = sim_kwargs.pop("duration", 30.0)
 
@@ -168,8 +178,8 @@ def scenario_from_config(text: str, source: str = "<config>") -> tuple[Scenario,
         output["plot"] = plot_text == "true"
 
     try:
-        scenario = Scenario(name="config", variant=variant, profile=profile,
-                            mode=mode, duration=duration, params=params,
+        scenario = Scenario(name="config", profile=profile, mode=mode,
+                            duration=duration, params=params,
                             gains=gains, law=law, wrapper_n=wrapper_n,
                             path_step=path_step, path_length=path_length,
                             **sim_kwargs)

@@ -89,26 +89,47 @@ def feedforward_steer(kappa_ref: float, l: float) -> float:
     return math.atan(kappa_ref * l)
 
 
-def feedback_steer(e_C: float, theta_C: float, gains: ControlGains,
-                   gamma_sat: float | None = None, law: str = "wrapped",
-                   wrapper_n: float = 2) -> float:
-    """Feedback steering on the lateral and yaw errors.
+def feedback_law(gains: ControlGains, law: str = "wrapped",
+                 wrapper_n: float = 2):
+    """The feedback steering law as a function ``fb(e_C, theta_C, gamma_sat)``.
 
     laws: 'linear'    k1*theta + k1*k2*e
           'nonlinear' k1*(theta + arctan(k2*e))
-          'wrapped'   g(k1*(theta + arctan(k2*e))), |output| < gamma_sat
+          'wrapped'   g_n(k1*(theta + arctan(k2*e))), |output| < gamma_sat
+    gamma_sat is read by the wrapped law only. The n = 2 wrapper is the
+    scaled arctangent, written inline because it runs in every RK4 stage.
     """
     k1, k2 = gains.k1, gains.k2
     if law == "linear":
-        return k1 * theta_C + k1 * k2 * e_C
+        return lambda e, th, gsat: k1 * th + k1 * k2 * e
     if law == "nonlinear":
-        return k1 * (theta_C + math.atan(k2 * e_C))
-    if law == "wrapped":
-        if gamma_sat is None or gamma_sat <= 0.0:
-            raise ValueError("wrapped law needs gamma_sat > 0")
-        return wrapper(WrapperSpec(wrapper_n, gamma_sat),
-                       k1 * (theta_C + math.atan(k2 * e_C)))
-    raise ValueError(f"unknown law {law!r}; expected one of {LAWS}")
+        return lambda e, th, gsat: k1 * (th + math.atan(k2 * e))
+    if law != "wrapped":
+        raise ValueError(f"unknown law {law!r}; expected one of {LAWS}")
+    if wrapper_n == 2:
+        def fb(e, th, gsat):
+            c = math.pi / (2.0 * gsat)
+            v = math.atan(c * k1 * (th + math.atan(k2 * e))) / c
+            if -gsat < v < gsat:
+                return v
+            # a saturated float arctan rounds onto or one ulp past the bound
+            return math.copysign(math.nextafter(gsat, 0.0), v)
+        return fb
+    WrapperSpec(wrapper_n, 1.0)  # reject a bad index before the first call
+
+    def fb(e, th, gsat):
+        return wrapper(WrapperSpec(wrapper_n, gsat),
+                       k1 * (th + math.atan(k2 * e)))
+    return fb
+
+
+def feedback_steer(e_C: float, theta_C: float, gains: ControlGains,
+                   gamma_sat: float | None = None, law: str = "wrapped",
+                   wrapper_n: float = 2) -> float:
+    """Feedback steering on the lateral and yaw errors; see :func:`feedback_law`."""
+    if law == "wrapped" and (gamma_sat is None or gamma_sat <= 0.0):
+        raise ValueError("wrapped law needs gamma_sat > 0")
+    return feedback_law(gains, law, wrapper_n)(e_C, theta_C, gamma_sat)
 
 
 def desired_heading(e_C: float, gains: ControlGains) -> float:

@@ -106,11 +106,6 @@ class CurvatureProfile:
         return None
 
 
-def curvature_at(profile: CurvatureProfile, s: float) -> float:
-    """Curvature of the profile at arc length s (total function)."""
-    return profile.kappa(s)
-
-
 @dataclass(frozen=True)
 class PathQuery:
     """Result of projecting a pose onto a path."""
@@ -179,18 +174,7 @@ class PathTable:
     def pose_at(self, s: float) -> tuple[float, float, float]:
         """(x, y, psi) at arc length s via cubic Hermite interpolation."""
         i, u = self._segment(s)
-        h = self.step
-        h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
-        h10 = u * (1.0 - u) ** 2
-        h01 = u * u * (3.0 - 2.0 * u)
-        h11 = u * u * (u - 1.0)
-        c0, c1 = math.cos(self.psi[i]), math.cos(self.psi[i + 1])
-        s0, s1 = math.sin(self.psi[i]), math.sin(self.psi[i + 1])
-        x = h00 * self.x[i] + h10 * h * c0 + h01 * self.x[i + 1] + h11 * h * c1
-        y = h00 * self.y[i] + h10 * h * s0 + h01 * self.y[i + 1] + h11 * h * s1
-        psi = (h00 * self.psi[i] + h10 * h * self.kappa[i]
-               + h01 * self.psi[i + 1] + h11 * h * self.kappa[i + 1])
-        return x, y, psi
+        return self._hermite(i, u, math.cos, math.sin)
 
     def pose_at_many(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`pose_at` for an array of arc lengths."""
@@ -201,13 +185,17 @@ class PathTable:
             sr = np.clip(s, self.s[0], self.s[-1])
         i = np.clip(((sr - self.s[0]) / self.step).astype(int), 0, len(self.s) - 2)
         u = (sr - self.s[i]) / self.step
+        return self._hermite(i, u, np.cos, np.sin)
+
+    def _hermite(self, i, u, cos, sin):
+        """Hermite pose on segment(s) i at fraction u; scalar or array."""
         h = self.step
         h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
         h10 = u * (1.0 - u) ** 2
         h01 = u * u * (3.0 - 2.0 * u)
         h11 = u * u * (u - 1.0)
-        c0, c1 = np.cos(self.psi[i]), np.cos(self.psi[i + 1])
-        s0, s1 = np.sin(self.psi[i]), np.sin(self.psi[i + 1])
+        c0, c1 = cos(self.psi[i]), cos(self.psi[i + 1])
+        s0, s1 = sin(self.psi[i]), sin(self.psi[i + 1])
         x = h00 * self.x[i] + h10 * h * c0 + h01 * self.x[i + 1] + h11 * h * c1
         y = h00 * self.y[i] + h10 * h * s0 + h01 * self.y[i + 1] + h11 * h * s1
         psi = (h00 * self.psi[i] + h10 * h * self.kappa[i]

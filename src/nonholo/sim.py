@@ -14,15 +14,22 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import (WrapperSpec, driving_force, longitudinal_accel,
+from .control import (driving_force, feedback_law, longitudinal_accel,
                       preview_max_curvature, steer_derivative_chain,
-                      steering_saturation, target_speed, wrapper)
+                      steering_saturation, target_speed)
 from .errors import GuardTripped, ModelGuardError, TubeSingularity
 from .models import Variant, constraining_forces
 from .params import ControlGains, VehicleParams
-from .path import CurvatureProfile, PathTable, build_path
+from .path import TUBE_EPS, CurvatureProfile, PathTable, build_path
 
-MODES = ("none", "steer_only", "steer_torque", "steer_longitudinal")
+# the model each controller mode's closed loop integrates
+MODE_MODELS = {
+    "none": Variant.SKATE_KINEMATIC,
+    "steer_only": Variant.SKATE_KINEMATIC,
+    "steer_torque": Variant.SKATE_TORQUE_STEER,
+    "steer_longitudinal": Variant.SKATE_FORCE,
+}
+MODES = tuple(MODE_MODELS)
 
 TRACE_COLUMNS = (
     "t", "x_G", "y_G", "psi", "gamma", "sigma1", "sigma2",
@@ -37,7 +44,6 @@ class Scenario:
     """A full simulation setup; see :func:`named_scenario` for the figures."""
 
     name: str
-    variant: Variant
     profile: CurvatureProfile
     mode: str
     duration: float
@@ -64,6 +70,11 @@ class Scenario:
         kappa0 = self.profile.kappa(self.s0)
         if abs(kappa0 * self.e0) >= 1.0:
             raise ValueError("initial state outside the curvature tube")
+
+    @property
+    def variant(self) -> Variant:
+        """The model the controller mode integrates; see ``MODE_MODELS``."""
+        return MODE_MODELS[self.mode]
 
 
 class SimTrace:
@@ -127,10 +138,14 @@ def count_zero_crossings(e, dead_band: float = 1e-9) -> int:
     return int(np.count_nonzero(np.diff(np.sign(live)) != 0))
 
 
-def rk4_step(rhs, t: float, y, h: float):
-    """One classical Runge-Kutta step for a state stored as a sequence."""
+def rk4_step(rhs, t: float, y, h: float, a=None):
+    """One classical Runge-Kutta step for a state stored as a sequence.
+
+    ``a`` is stage 1, rhs(t, y), when the caller has already evaluated it.
+    """
     n = len(y)
-    a = rhs(t, y)
+    if a is None:
+        a = rhs(t, y)
     yb = [y[i] + 0.5 * h * a[i] for i in range(n)]
     b = rhs(t + 0.5 * h, yb)
     yc = [y[i] + 0.5 * h * b[i] for i in range(n)]
@@ -141,13 +156,14 @@ def rk4_step(rhs, t: float, y, h: float):
             for i in range(n)]
 
 
-def integrate(rhs, y0, dt: float, duration: float, step_hook=None,
-              t0: float = 0.0):
+def integrate(rhs, y0, dt: float, duration: float, t0: float = 0.0,
+              rows: bool = False):
     """Fixed-step RK4 over [t0, t0 + duration]; returns (t, states) arrays.
 
-    ``step_hook(t, y)``, when given, runs once at the start of every step
-    (zero-order-hold controllers update their held values there). Model
-    singularity guards raised by ``rhs`` are re-raised as
+    With ``rows``, ``rhs(t, y, True)`` must return ``(derivative, row)``
+    and (t, states, rows) is returned: the row of each committed state is
+    the one its RK4 stage 1 computed, plus one call at the final state.
+    Model singularity guards raised by ``rhs`` are re-raised as
     :class:`GuardTripped` carrying the offending time.
     """
     n_steps = int(round(duration / dt))
@@ -156,81 +172,72 @@ def integrate(rhs, y0, dt: float, duration: float, step_hook=None,
     ys = np.empty((n_steps + 1, len(y)))
     ts[0] = t0
     ys[0] = y
-    for k in range(n_steps):
-        t = t0 + k * dt
-        try:
-            if step_hook is not None:
-                step_hook(t, y)
-            y = rk4_step(rhs, t, y, dt)
-        except ModelGuardError as exc:
-            raise GuardTripped(t, exc) from exc
-        ts[k + 1] = t + dt
-        ys[k + 1] = y
-    return ts, ys
+    out = None
+    try:
+        for k in range(n_steps + 1):
+            t = t0 + k * dt
+            a = None
+            if rows:
+                a, row = rhs(t, y, True)
+                if out is None:
+                    out = np.empty((n_steps + 1, len(row)), order="F")
+                out[k] = row
+            if k == n_steps:
+                break
+            y = rk4_step(rhs, t, y, dt, a)
+            ts[k + 1] = t + dt
+            ys[k + 1] = y
+    except ModelGuardError as exc:
+        raise GuardTripped(t, exc) from exc
+    return (ts, ys, out) if rows else (ts, ys)
 
 
 # -- closed-loop right-hand sides -------------------------------------------
 
-def _feedback_fn(sc: Scenario):
-    k1, k2 = sc.gains.k1, sc.gains.k2
-    if sc.law == "linear":
-        return lambda e, th, gsat: k1 * th + k1 * k2 * e
-    if sc.law == "nonlinear":
-        return lambda e, th, gsat: k1 * (th + math.atan(k2 * e))
-    if sc.law == "wrapped" and sc.wrapper_n == 2:
-        def fb(e, th, gsat):
-            c = math.pi / (2.0 * gsat)
-            return math.atan(c * k1 * (th + math.atan(k2 * e))) / c
-        return fb
-    if sc.law == "wrapped":
-        n = sc.wrapper_n
-
-        def fb(e, th, gsat):
-            return wrapper(WrapperSpec(n, gsat),
-                           k1 * (th + math.atan(k2 * e)))
-        return fb
-    raise ValueError(f"unknown steering law {sc.law!r}")
+def _tube_guard(kap: float, e: float) -> float:
+    one = 1.0 - kap * e
+    if abs(one) < TUBE_EPS:
+        raise TubeSingularity(f"1 - kappa*e = {one:.3e}")
+    return one
 
 
 def _make_loop(sc: Scenario):
-    """Build (y0, rhs, probe) for the scenario's controller mode.
+    """Build (y0, loop, columns) for the scenario's controller mode.
 
-    ``probe(t, y)`` re-evaluates the controller at a committed state and
-    returns the diagnostics row used for the trace.
+    ``loop(t, y)`` is the closed-loop derivative. ``loop(t, y, True)``
+    returns ``(derivative, row)``, where row holds the trace diagnostics
+    named by ``columns``, taken from the same controller evaluation.
     """
     prof = sc.profile
     params, gains = sc.params, sc.gains
-    l, d = params.l, params.d
+    l = params.l
     m1, m2, J_F = params.m1, params.m2, params.J_F
-    fb = _feedback_fn(sc)
+    fb = feedback_law(gains, sc.law, sc.wrapper_n)
 
     if sc.mode in ("none", "steer_only"):
+        # constant-speed kinematic loop; mode none holds the wheel straight
         V = sc.V
         gsat = steering_saturation(V, gains, params)
         steer_off = sc.mode == "none"
 
-        def rhs(t, y):
+        def kinematic(t, y, diag=False):
             s, e, th = y
             kap = prof.kappa(s)
-            gamma = 0.0 if steer_off else math.atan(kap * l) + fb(e, th, gsat)
-            one = 1.0 - kap * e
-            if abs(one) < 1e-9:
-                raise TubeSingularity(f"1 - kappa*e = {one:.3e}")
-            sd = V * math.cos(th) / one
-            return (sd, V * math.sin(th),
-                    V * math.tan(gamma) / l - kap * sd)
-
-        def probe(t, y):
-            s, e, th = y
-            kap = prof.kappa(s)
-            gff = 0.0 if steer_off else math.atan(kap * l)
-            gfb = 0.0 if steer_off else fb(e, th, gsat)
+            if steer_off:
+                gff = gfb = 0.0
+            else:
+                gff = math.atan(kap * l)
+                gfb = fb(e, th, gsat)
             gamma = gff + gfb
-            return {"gamma": gamma, "gamma_des": gamma, "gamma_ff": gff,
-                    "gamma_fb": gfb, "sigma1": V,
-                    "a_lat": V * V * math.tan(gamma) / l}
+            sd = V * math.cos(th) / _tube_guard(kap, e)
+            dy = (sd, V * math.sin(th), V * math.tan(gamma) / l - kap * sd)
+            if not diag:
+                return dy
+            return dy, (gamma, gamma, gff, gfb, V,
+                        V * V * math.tan(gamma) / l)
 
-        return [sc.s0, sc.e0, sc.theta0], rhs, probe
+        return [sc.s0, sc.e0, sc.theta0], kinematic, (
+            "gamma", "gamma_des", "gamma_ff", "gamma_fb", "sigma1", "a_lat")
 
     if sc.mode == "steer_torque":
         V = sc.V
@@ -239,34 +246,25 @@ def _make_loop(sc: Scenario):
         k_s, T_sat = gains.k_s, gains.T_sat
         cT = math.pi / (2.0 * T_sat)
 
-        def command(s, e, th):
-            return math.atan(prof.kappa(s + V * t_L) * l) + fb(e, th, gsat)
-
-        def rhs(t, y):
-            s, e, th, g, s2 = y
-            gdes = command(s, e, th)
-            T_s = math.atan(cT * k_s * (g - gdes)) / cT
-            kap = prof.kappa(s)
-            one = 1.0 - kap * e
-            if abs(one) < 1e-9:
-                raise TubeSingularity(f"1 - kappa*e = {one:.3e}")
-            cg = math.cos(g)
-            sd = V * math.cos(th) / one
-            return (sd, V * math.sin(th),
-                    V * math.tan(g) / l - kap * sd,
-                    s2, T_s / J_F - V * s2 / (l * cg * cg))
-
-        def probe(t, y):
+        def steer_torque(t, y, diag=False):
             s, e, th, g, s2 = y
             gff = math.atan(prof.kappa(s + V * t_L) * l)
             gfb = fb(e, th, gsat)
             gdes = gff + gfb
             T_s = math.atan(cT * k_s * (g - gdes)) / cT
-            return {"gamma": g, "sigma2": s2, "gamma_des": gdes,
-                    "gamma_ff": gff, "gamma_fb": gfb, "T_s": T_s,
-                    "sigma1": V, "a_lat": V * V * math.tan(g) / l}
+            kap = prof.kappa(s)
+            cg = math.cos(g)
+            sd = V * math.cos(th) / _tube_guard(kap, e)
+            dy = (sd, V * math.sin(th), V * math.tan(g) / l - kap * sd,
+                  s2, T_s / J_F - V * s2 / (l * cg * cg))
+            if not diag:
+                return dy
+            return dy, (g, s2, gdes, gff, gfb, T_s, V,
+                        V * V * math.tan(g) / l)
 
-        return [sc.s0, sc.e0, sc.theta0, sc.gamma0, sc.sigma2_0], rhs, probe
+        return [sc.s0, sc.e0, sc.theta0, sc.gamma0, sc.sigma2_0], \
+            steer_torque, ("gamma", "sigma2", "gamma_des", "gamma_ff",
+                           "gamma_fb", "T_s", "sigma1", "a_lat")
 
     # steer_longitudinal: force-driven skate model, rear wheel drive,
     # feedback-linearizing force from the steering-derivative chain
@@ -276,9 +274,8 @@ def _make_loop(sc: Scenario):
         raise ValueError("the steering-derivative chain is specialized to "
                          "t_L = 0; look-ahead applies to the torque-steer mode")
     preview = gains.preview_dist
-    k_a = gains.k_a
 
-    def rhs(t, y):
+    def steer_longitudinal(t, y, diag=False):
         s, e, th, s1 = y
         gsat = steering_saturation(s1, gains, params)
         v_des = target_speed(preview_max_curvature(prof, s, preview), gains)
@@ -288,38 +285,25 @@ def _make_loop(sc: Scenario):
         F = driving_force(a_des, cmd.gamma_des, cmd.gamma_dot,
                           cmd.gamma_ddot, s1, params)
         kap = prof.kappa(s)
-        one = 1.0 - kap * e
-        if abs(one) < 1e-9:
-            raise TubeSingularity(f"1 - kappa*e = {one:.3e}")
+        one = 1.0 - kap * e  # steer_derivative_chain guards the tube
         g = cmd.gamma_des
         tg = math.tan(g)
         cg = math.cos(g)
         sd = s1 * math.cos(th) / one
         s1d = (F.F_R - m2 * tg / (cg * cg) * s1 * cmd.gamma_dot
                - J_F / l * cmd.gamma_ddot * tg) / (m1 + m2 * tg * tg)
-        return (sd, s1 * math.sin(th),
-                s1 * tg / l - kap * sd, s1d)
+        dy = (sd, s1 * math.sin(th), s1 * tg / l - kap * sd, s1d)
+        if not diag:
+            return dy
+        forces = constraining_forces(s1, g, cmd.gamma_dot, cmd.gamma_ddot,
+                                     F.F_R, 0.0, params)
+        return dy, (g, s1, g, cmd.gamma_ff, cmd.gamma_fb, F.F_R, a_des,
+                    v_des, s1 * s1 * math.tan(g) / l, F.iota, F.a1, F.a2,
+                    forces.mu_R, forces.mu_F)
 
-    def probe(t, y):
-        s, e, th, s1 = y
-        gsat = steering_saturation(s1, gains, params)
-        v_des = target_speed(preview_max_curvature(prof, s, preview), gains)
-        a_des = longitudinal_accel(s1, v_des, gains)
-        cmd = steer_derivative_chain(s, e, th, s1, a_des, prof, gains,
-                                     gsat, params)
-        F = driving_force(a_des, cmd.gamma_des, cmd.gamma_dot,
-                          cmd.gamma_ddot, s1, params)
-        forces = constraining_forces(s1, cmd.gamma_des, cmd.gamma_dot,
-                                     cmd.gamma_ddot, F.F_R, 0.0, params)
-        return {"gamma": cmd.gamma_des, "sigma1": s1,
-                "gamma_des": cmd.gamma_des, "gamma_ff": cmd.gamma_ff,
-                "gamma_fb": cmd.gamma_fb, "F_R": F.F_R, "a_des": a_des,
-                "v_des": v_des,
-                "a_lat": s1 * s1 * math.tan(cmd.gamma_des) / l,
-                "iota": F.iota, "a1": F.a1, "a2": F.a2,
-                "mu_R": forces.mu_R, "mu_F": forces.mu_F}
-
-    return [sc.s0, sc.e0, sc.theta0, sc.sigma1_0], rhs, probe
+    return [sc.s0, sc.e0, sc.theta0, sc.sigma1_0], steer_longitudinal, (
+        "gamma", "sigma1", "gamma_des", "gamma_ff", "gamma_fb", "F_R",
+        "a_des", "v_des", "a_lat", "iota", "a1", "a2", "mu_R", "mu_F")
 
 
 def _build_table(sc: Scenario) -> PathTable:
@@ -333,15 +317,9 @@ def run_scenario(sc: Scenario, table: PathTable | None = None) -> SimTrace:
     """Integrate the scenario and assemble the full diagnostic trace."""
     if table is None:
         table = _build_table(sc)
-    y0, rhs, probe = _make_loop(sc)
-    ts, ys = integrate(rhs, y0, sc.dt, sc.duration)
-
-    keys = sorted(probe(ts[0], list(ys[0])).keys())
-    diag = {k: np.empty(len(ts)) for k in keys}
-    for i in range(len(ts)):
-        row = probe(ts[i], list(ys[i]))
-        for k in keys:
-            diag[k][i] = row[k]
+    y0, loop, columns = _make_loop(sc)
+    ts, ys, rows = integrate(loop, y0, sc.dt, sc.duration, rows=True)
+    diag = {name: rows[:, j] for j, name in enumerate(columns)}
 
     s_arr, e_arr, th_arr = ys[:, 0], ys[:, 1], ys[:, 2]
     xc, yc, psic = table.pose_at_many(s_arr)
@@ -356,15 +334,14 @@ def run_scenario(sc: Scenario, table: PathTable | None = None) -> SimTrace:
         "psi": psi,
     }
     data.update(diag)
-    data["resid_max"] = _constraint_residual_rows(sc, table, ys, diag)
+    data["resid_max"] = _constraint_residual_rows(sc, ys, diag, psic)
     return SimTrace(data)
 
 
-def _constraint_residual_rows(sc: Scenario, table: PathTable, ys, diag):
+def _constraint_residual_rows(sc: Scenario, ys, diag, psic):
     """Max no-slip residual per row, from the reconstructed absolute rates."""
     s_arr, e_arr, th_arr = ys[:, 0], ys[:, 1], ys[:, 2]
     kap = np.array([sc.profile.kappa(s) for s in s_arr])
-    _, _, psic = table.pose_at_many(s_arr)
     psi = psic + th_arr
     gamma = diag["gamma"]
     sp = diag["sigma1"]
@@ -399,39 +376,33 @@ def named_scenario(name: str, params: VehicleParams | None = None,
     gains = gains or ControlGains()
     base = dict(params=params, gains=gains, dt=dt)
     if name == "fig13":
-        return Scenario(name=name, variant=Variant.SKATE_KINEMATIC,
-                        profile=CurvatureProfile.straight(), mode="steer_only",
-                        duration=30.0, V=20.0, e0=-10.0, theta0=0.0, **base)
+        return Scenario(name=name, profile=CurvatureProfile.straight(),
+                        mode="steer_only", duration=30.0, V=20.0, e0=-10.0,
+                        theta0=0.0, **base)
     if name == "fig14":
-        return Scenario(name=name, variant=Variant.SKATE_KINEMATIC,
-                        profile=CurvatureProfile.circle(200.0),
+        return Scenario(name=name, profile=CurvatureProfile.circle(200.0),
                         mode="steer_only", duration=35.0, V=20.0,
                         e0=-10.0, theta0=math.radians(20.0), **base)
     if name == "fig16":
-        return Scenario(name=name, variant=Variant.SKATE_KINEMATIC,
-                        profile=CurvatureProfile.periodic(4, 250.0),
+        return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
                         mode="steer_only", duration=50.0, V=20.0,
                         e0=-10.0, **base)
     if name == "fig17":
-        return Scenario(name=name, variant=Variant.SKATE_TORQUE_STEER,
-                        profile=CurvatureProfile.periodic(4, 250.0),
+        return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
                         mode="steer_torque", duration=50.0, V=20.0,
                         e0=-10.0, **base)
     if name == "fig18":
         base["gains"] = replace(gains, t_L=0.3)
-        return Scenario(name=name, variant=Variant.SKATE_TORQUE_STEER,
-                        profile=CurvatureProfile.periodic(4, 250.0),
+        return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
                         mode="steer_torque", duration=50.0, V=20.0,
                         e0=-10.0, **base)
     if name == "fig20":
-        return Scenario(name=name, variant=Variant.SKATE_FORCE,
-                        profile=CurvatureProfile.periodic(4, 250.0),
+        return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
                         mode="steer_longitudinal", duration=60.0,
                         e0=-10.0, sigma1_0=20.0, **base)
     if name == "fig21":
         base["gains"] = replace(gains, a_lat_max=12.0)
-        return Scenario(name=name, variant=Variant.SKATE_FORCE,
-                        profile=CurvatureProfile.periodic(4, 50.0),
+        return Scenario(name=name, profile=CurvatureProfile.periodic(4, 50.0),
                         mode="steer_longitudinal", duration=30.0,
                         e0=-10.0, sigma1_0=20.0, **base)
     raise ValueError(f"unknown scenario {name!r}; known: {sorted(FIGURES)}")

@@ -60,6 +60,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="duration"):
             scenario_from_config("sim {\n    duration = soon\n}\n")
 
+    @pytest.mark.parametrize("block,key", [("vehicle", "m"), ("path", "s_T"),
+                                           ("controller", "k1"),
+                                           ("sim", "duration")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_named(self, block, key, value):
+        text = f"{block} {{\n    {key} = {value}\n}}\n"
+        with pytest.raises(ConfigError, match=f"{key}.*not finite"):
+            scenario_from_config(text)
+
+    def test_model_follows_mode(self):
+        for mode, model in (("none", "skate_kinematic"),
+                            ("steer_only", "skate_kinematic"),
+                            ("steer_torque", "skate_torque_steer"),
+                            ("steer_longitudinal", "skate_force")):
+            sc, _ = scenario_from_config(
+                f"controller {{\n    mode = {mode}\n}}\n"
+                f"sim {{\n    model = {model}\n}}\n")
+            assert sc.variant is Variant(model)
+        with pytest.raises(ConfigError, match="model"):
+            scenario_from_config("sim {\n    model = wheel_torque_torque_steer\n}\n")
+
     def test_param_file_round_trip(self, tmp_path):
         params = VehicleParams(m=1500.0, r=0.31)
         dest = tmp_path / "vehicle.par"
@@ -105,6 +126,21 @@ class TestCli:
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert "warpdrive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,key", [
+        ("sim {\n    duration = nan\n}\n", "duration"),
+        ("controller {\n    wrapper_n = nan\n}\n", "wrapper_n"),
+        ("sim {\n    model = wheel_torque_torque_steer\n}\n", "model"),
+        ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
+         "    step = 60\n}\n", "step"),
+    ])
+    def test_simulate_bad_config_exit_2(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "Traceback" not in err
 
     def test_simulate_guard_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "guard.cfg"

@@ -110,6 +110,14 @@ class TestSteering:
         out = feedback_steer(e, th, gains, gamma_sat=0.0257, law="wrapped")
         assert abs(out) < 0.0257
 
+    def test_wrapped_n2_strictly_inside_bound_when_saturated(self, gains,
+                                                             rng):
+        # the float arctan of a huge argument rounds to pi/2, which puts
+        # the scaled value on or one ulp past gamma_sat for most bounds
+        for gsat in rng.uniform(1e-3, 1.0, 200):
+            out = feedback_steer(0.0, 1e300, gains, gamma_sat=gsat)
+            assert -gsat < out < -0.999 * gsat
+
     def test_heading_sign_opposes_error(self, gains, rng):
         for _ in range(50):
             e = rng.uniform(-50.0, 50.0)

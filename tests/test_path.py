@@ -6,26 +6,26 @@ from hypothesis import given, settings, strategies as st
 
 from nonholo.errors import AmbiguousProjection, NonClosure, TubeSingularity
 from nonholo.path import (CurvatureProfile, PathQuery, PathTable, build_path,
-                          curvature_at, frame_rates, frame_rates_inverse,
-                          reconstruct_pose, wrap_angle)
+                          frame_rates, frame_rates_inverse, reconstruct_pose,
+                          wrap_angle)
 
 KAPPA_N4 = 0.004 * math.pi
 
 
 class TestCurvatureProfile:
     def test_periodic_zero_at_origin(self, n4_profile):
-        assert curvature_at(n4_profile, 0.0) == 0.0
+        assert n4_profile.kappa(0.0) == 0.0
 
     def test_periodic_peak_at_half_period(self, n4_profile):
-        assert curvature_at(n4_profile, 125.0) == pytest.approx(
+        assert n4_profile.kappa(125.0) == pytest.approx(
             n4_profile.kappa_max, rel=1e-15)
 
     def test_table5_peak_curvature(self, n4_profile):
         assert n4_profile.kappa_max == pytest.approx(KAPPA_N4, rel=1e-12)
 
     def test_straight_and_circle(self):
-        assert curvature_at(CurvatureProfile.straight(), 123.4) == 0.0
-        assert curvature_at(CurvatureProfile.circle(200.0), -5.0) == 0.005
+        assert CurvatureProfile.straight().kappa(123.4) == 0.0
+        assert CurvatureProfile.circle(200.0).kappa(-5.0) == 0.005
 
     @given(st.floats(-2000.0, 2000.0))
     def test_periodicity(self, s):

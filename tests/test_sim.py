@@ -1,13 +1,26 @@
 import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 
+from nonholo.control import feedback_steer, steering_saturation
 from nonholo.errors import GuardTripped
 from nonholo.models import DriveInput, Variant, eom_rhs
-from nonholo.path import CurvatureProfile
-from nonholo.sim import (FIGURES, Scenario, count_zero_crossings, integrate,
-                         named_scenario, run_scenario)
+from nonholo.path import CurvatureProfile, build_path
+from nonholo.sim import (FIGURES, Scenario, _make_loop, count_zero_crossings,
+                         integrate, named_scenario, run_scenario)
+
+
+@dataclass(frozen=True)
+class CountingProfile(CurvatureProfile):
+    """A curvature profile that records its kappa() evaluations."""
+
+    calls: list = field(default_factory=list, compare=False)
+
+    def kappa(self, s):
+        self.calls.append(s)
+        return super().kappa(s)
 
 
 class TestIntegrate:
@@ -55,15 +68,19 @@ class TestIntegrate:
         err_fine = np.max(np.abs(fine[-1] - ref[-1]))
         assert 10.0 < err_coarse / err_fine < 22.0
 
-    def test_step_hook_runs_once_per_step(self):
-        calls = []
-        integrate(lambda t, y: (0.0,), [0.0], 0.1, 1.0,
-                  step_hook=lambda t, y: calls.append(t))
-        assert len(calls) == 10
+    @pytest.mark.parametrize("name", ["fig16", "fig18", "fig20"])
+    def test_row_capture_matches_mode_function(self, name):
+        sc = replace(named_scenario(name), duration=0.05)
+        y0, loop, columns = _make_loop(sc)
+        ts, ys, rows = integrate(loop, y0, sc.dt, sc.duration, rows=True)
+        assert rows.shape == (51, len(columns))
+        for k in range(len(ts)):
+            _, row = loop(ts[k], list(ys[k]), True)
+            assert np.array_equal(rows[k], row), k
 
     def test_guard_reports_time(self, params):
-        sc = Scenario(name="inward", variant=Variant.SKATE_KINEMATIC,
-                      profile=CurvatureProfile.circle(200.0), mode="none",
+        sc = Scenario(name="inward", profile=CurvatureProfile.circle(200.0),
+                      mode="none",
                       duration=15.0, V=20.0, e0=0.0, theta0=math.pi / 2.0)
         with pytest.raises(GuardTripped) as err:
             run_scenario(sc)
@@ -131,6 +148,32 @@ class TestScenarios:
 
     def test_tube_validation_at_start(self, params, gains):
         with pytest.raises(ValueError, match="tube"):
-            Scenario(name="bad", variant=Variant.SKATE_KINEMATIC,
-                     profile=CurvatureProfile.circle(50.0), mode="steer_only",
+            Scenario(name="bad", profile=CurvatureProfile.circle(50.0),
+                     mode="steer_only",
                      duration=1.0, V=10.0, e0=60.0, s0=10.0)
+
+    def test_kappa_calls_per_steer_only_run(self):
+        # 4 RK4 stages per step, the final-state row and one residual
+        # evaluation per row: 4n + 1 + (n + 1)
+        n = 100
+        sc = named_scenario("fig16")
+        p = sc.profile
+        prof = CountingProfile(p.kind, p.kappa_const, p.kappa_max, p.s_T, p.N)
+        sc = replace(sc, profile=prof, duration=n * sc.dt)
+        table = build_path(prof)
+        prof.calls.clear()
+        run_scenario(sc, table)
+        assert len(prof.calls) == 5 * n + 2
+
+    @pytest.mark.parametrize("law,n", [("linear", 2), ("nonlinear", 2),
+                                       ("wrapped", 2), ("wrapped", 3),
+                                       ("wrapped", math.inf)])
+    def test_feedback_steer_reproduces_trace(self, law, n):
+        sc = replace(named_scenario("fig16", dt=0.01), duration=2.0, law=law,
+                     wrapper_n=n)
+        trace = run_scenario(sc)
+        gsat = steering_saturation(sc.V, sc.gains, sc.params)
+        got = [feedback_steer(e, th, sc.gains, gamma_sat=gsat, law=law,
+                              wrapper_n=n)
+               for e, th in zip(trace["e_C"], trace["theta_C"])]
+        assert np.array_equal(got, trace["gamma_fb"])
