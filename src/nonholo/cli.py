@@ -15,14 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import stability_grid
+from .analysis import kinematic_stability, stability_grid
 from .config import dump_config, scenario_from_config
 from .control import WrapperSpec, wrapper, wrapper_deriv
 from .errors import ConfigError, GuardTripped, NonClosure, NonholoError
 from .models import (Variant, DriveInput, constraining_forces,
                      constraint_residuals, eom_rhs)
 from .params import VehicleParams
-from .path import CurvatureProfile, PathTable, build_path
+from .path import CurvatureProfile, PathTable, build_path, write_csv
 from .sim import (FIGURES, Scenario, SimTrace, _build_table, named_scenario,
                   run_scenario)
 from .svgplot import Panel, figure_panels
@@ -206,23 +206,17 @@ def cmd_stability(args) -> int:
         return 2
     params = VehicleParams()
     dest = out / "stability.csv"
-    agree_n, total = 0, 0
-    with open(dest, "w", encoding="utf-8") as fh:
-        fh.write("k1,k2,kappa_star,criterion,eig_max_real,agree\n")
-        for kappa in kappas:
-            for row in stability_grid(k1, k2, kappa, args.speed, params.l):
-                k1v, k2v, crit, eig_max, agree, near = row
-                fh.write(f"{k1v:.12g},{k2v:.12g},{kappa:.12g},"
-                         f"{int(crit)},{eig_max:.12g},{int(agree)}\n")
-                if not near:
-                    total += 1
-                    agree_n += int(agree)
+    rows = [(r[0], r[1], kappa, *r[2:]) for kappa in kappas
+            for r in stability_grid(k1, k2, kappa, args.speed, params.l)]
+    write_csv(dest, ("k1", "k2", "kappa_star", "criterion", "eig_max_real",
+                     "agree"), list(zip(*rows))[:6])
+    outside = [agree for *_, agree, near in rows if not near]
+    agree_n, total = sum(outside), len(outside)
     pct = 100.0 * agree_n / total if total else 100.0
     print(f"stability map: {total} grid points outside boundary band, "
           f"criterion/eigenvalue agreement {pct:.2f}%")
     print(f"wrote {dest}")
     if len(k1) == 1 and len(k2) == 1 and len(kappas) == 1:
-        from .analysis import kinematic_stability
         verdict = kinematic_stability(kappas[0], args.speed, params.l,
                                       float(k1[0]), float(k2[0]))
         eigs = ", ".join(f"{z:.6g}" for z in verdict.eigenvalues)
@@ -269,16 +263,13 @@ def cmd_sweep(args) -> int:
                             out)
 
     base = args.figure or ("fig17" if args.param == "t_L" else "fig20")
-    scenarios = []
-    for value in values:
-        scenario = named_scenario(base, dt=args.dt or 1e-3)
-        if args.param == "t_L":
-            scenario = replace(scenario,
-                               gains=replace(scenario.gains, t_L=value))
-        else:
-            scenario = replace(scenario,
-                               gains=replace(scenario.gains, a_lat_max=value))
-        scenarios.append(scenario)
+    try:
+        sc = named_scenario(base, dt=args.dt or 1e-3)
+        scenarios = [replace(sc, gains=replace(sc.gains, **{args.param: v}))
+                     for v in values]
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     try:
         traces = _run_concurrently(scenarios)
     except GuardTripped as exc:
@@ -292,10 +283,7 @@ def cmd_sweep(args) -> int:
         trace.to_csv(out / f"trace_{args.param}_{value:g}.csv")
         print(f"{args.param} = {value:g}: post-transient rms e_C = {rms:.5g} m")
     dest = out / f"sweep_{args.param}.csv"
-    with open(dest, "w", encoding="utf-8") as fh:
-        fh.write(f"{args.param},rms_e\n")
-        for value, rms in rows:
-            fh.write(f"{value:.12g},{rms:.12g}\n")
+    write_csv(dest, (args.param, "rms_e"), list(zip(*rows)))
     best = min(rows, key=lambda r: r[1])
     print(f"minimum rms e_C = {best[1]:.5g} m at {args.param} = {best[0]:g}")
     print(f"wrote {dest}")
@@ -307,19 +295,16 @@ def _sweep_wrapper(values, out: Path) -> int:
     dest = out / "wrapper_curves.csv"
     panels = [Panel("wrapper g_n(x)", "x", "g_n(x)"),
               Panel("downscale factor g_n'(x)", "x", "g_n'(x)")]
-    with open(dest, "w", encoding="utf-8") as fh:
-        fh.write("x," + ",".join(f"g_{v:g},gp_{v:g}" for v in values) + "\n")
-        cols = []
-        for v in values:
-            spec = WrapperSpec(math.inf if math.isinf(v) else int(v), 1.0)
-            g = [wrapper(spec, float(x)) for x in xs]
-            gp = [wrapper_deriv(spec, float(x)) for x in xs]
-            cols.append((g, gp))
-            panels[0].add(f"n={v:g}", xs, g)
-            panels[1].add(f"n={v:g}", xs, gp)
-        for i, x in enumerate(xs):
-            fh.write(f"{x:.12g}," + ",".join(
-                f"{c[0][i]:.12g},{c[1][i]:.12g}" for c in cols) + "\n")
+    header, cols = ["x"], [xs]
+    for v in values:
+        spec = WrapperSpec(math.inf if math.isinf(v) else int(v), 1.0)
+        g = [wrapper(spec, float(x)) for x in xs]
+        gp = [wrapper_deriv(spec, float(x)) for x in xs]
+        header += [f"g_{v:g}", f"gp_{v:g}"]
+        cols += [g, gp]
+        panels[0].add(f"n={v:g}", xs, g)
+        panels[1].add(f"n={v:g}", xs, gp)
+    write_csv(dest, header, cols)
     figure_panels(panels, out / "wrapper_curves.svg")
     print(f"wrote {dest} and {out / 'wrapper_curves.svg'}")
     return 0

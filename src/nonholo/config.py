@@ -141,7 +141,7 @@ def scenario_from_config(text: str, source: str = "<config>") -> tuple[Scenario,
                                   f"integer or inf, got {wrapper_text!r}") from exc
         gains = replace(gains, **_floats(cb, source))
     if mode not in MODES:
-        raise ConfigError(f"{source}: unknown controller mode {mode!r}")
+        raise ConfigError(f"{source}: key 'mode': unknown mode {mode!r}")
 
     profile = CurvatureProfile.straight()
     path_step, path_length = 0.1, None

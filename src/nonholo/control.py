@@ -39,10 +39,6 @@ class WrapperSpec:
 
 def _bound_constant(n: int, g_sat: float) -> float:
     """c such that the antiderivative of (1+(cx)^2)^(-n/2) saturates at g_sat."""
-    if n == 2:
-        return math.pi / (2.0 * g_sat)
-    if n == 3:
-        return 1.0 / g_sat
     ratio = 1.0
     k = n
     while k >= 4:
@@ -53,10 +49,22 @@ def _bound_constant(n: int, g_sat: float) -> float:
     return ratio / g_sat
 
 
+def _saturate(x: float, bound: float) -> float:
+    """The n = 2 wrapper: atan(c*x)/c, c = pi/(2*bound), |value| < bound."""
+    c = math.pi / (2.0 * bound)
+    v = math.atan(c * x) / c
+    if -bound < v < bound:
+        return v
+    # a saturated float arctan rounds onto or one ulp past the bound
+    return math.copysign(math.nextafter(bound, 0.0), v)
+
+
 def wrapper(spec: WrapperSpec, x: float) -> float:
     """Evaluate the wrapper g_n(x)."""
     if spec.n == math.inf:
         return min(max(x, -spec.g_sat), spec.g_sat)
+    if spec.n == 2:
+        return _saturate(x, spec.g_sat)
     n = int(spec.n)
     c = _bound_constant(n, spec.g_sat)
     u = c * x
@@ -96,8 +104,7 @@ def feedback_law(gains: ControlGains, law: str = "wrapped",
     laws: 'linear'    k1*theta + k1*k2*e
           'nonlinear' k1*(theta + arctan(k2*e))
           'wrapped'   g_n(k1*(theta + arctan(k2*e))), |output| < gamma_sat
-    gamma_sat is read by the wrapped law only. The n = 2 wrapper is the
-    scaled arctangent, written inline because it runs in every RK4 stage.
+    gamma_sat is read by the wrapped law only.
     """
     k1, k2 = gains.k1, gains.k2
     if law == "linear":
@@ -107,20 +114,11 @@ def feedback_law(gains: ControlGains, law: str = "wrapped",
     if law != "wrapped":
         raise ValueError(f"unknown law {law!r}; expected one of {LAWS}")
     if wrapper_n == 2:
-        def fb(e, th, gsat):
-            c = math.pi / (2.0 * gsat)
-            v = math.atan(c * k1 * (th + math.atan(k2 * e))) / c
-            if -gsat < v < gsat:
-                return v
-            # a saturated float arctan rounds onto or one ulp past the bound
-            return math.copysign(math.nextafter(gsat, 0.0), v)
-        return fb
+        return lambda e, th, gsat: _saturate(k1 * (th + math.atan(k2 * e)),
+                                             gsat)
     WrapperSpec(wrapper_n, 1.0)  # reject a bad index before the first call
-
-    def fb(e, th, gsat):
-        return wrapper(WrapperSpec(wrapper_n, gsat),
-                       k1 * (th + math.atan(k2 * e)))
-    return fb
+    return lambda e, th, gsat: wrapper(WrapperSpec(wrapper_n, gsat),
+                                       k1 * (th + math.atan(k2 * e)))
 
 
 def feedback_steer(e_C: float, theta_C: float, gains: ControlGains,
@@ -148,8 +146,8 @@ def steering_saturation(speed: float, gains: ControlGains,
 
 def steering_torque(gamma: float, gamma_des: float,
                     gains: ControlGains) -> float:
-    """Low-level servo torque tracking gamma_des, bounded by T_sat."""
-    return wrapper(WrapperSpec(2, gains.T_sat), gains.k_s * (gamma - gamma_des))
+    """Low-level servo torque tracking gamma_des, strictly inside T_sat."""
+    return _saturate(gains.k_s * (gamma - gamma_des), gains.T_sat)
 
 
 def target_speed(kappa_m: float, gains: ControlGains) -> float:
@@ -184,9 +182,8 @@ def preview_max_curvature(profile: CurvatureProfile, s: float,
 
 def longitudinal_accel(sigma1: float, v_des: float,
                        gains: ControlGains) -> float:
-    """Desired longitudinal acceleration, bounded by a_long_max."""
-    return wrapper(WrapperSpec(2, gains.a_long_max),
-                   gains.k_a * (sigma1 - v_des))
+    """Desired longitudinal acceleration, strictly inside a_long_max."""
+    return _saturate(gains.k_a * (sigma1 - v_des), gains.a_long_max)
 
 
 @dataclass(frozen=True)
@@ -220,20 +217,21 @@ def driving_force(a_des: float, gamma: float, gamma_dot: float,
 
 @dataclass(frozen=True)
 class SteerCommand:
-    """Steering command with its split and, when requested, derivatives."""
+    """Steering command, its split and derivatives, and (s', e', theta')."""
 
     gamma_des: float
     gamma_ff: float
     gamma_fb: float
     gamma_dot: float = 0.0
     gamma_ddot: float = 0.0
+    rates: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
 def steer_derivative_chain(s: float, e: float, theta: float, speed: float,
                            speed_dot: float, profile: CurvatureProfile,
                            gains: ControlGains, gamma_sat: float,
                            params: VehicleParams) -> SteerCommand:
-    """Steering command and its first two time derivatives along the flow.
+    """Steering command, its first two time derivatives and path-frame rates.
 
     Differentiates gamma = arctan(kappa(s)*l) + g2(k1*(theta + arctan(k2*e)))
     through the path-frame kinematics; curvature derivatives come from the
@@ -253,8 +251,7 @@ def steer_derivative_chain(s: float, e: float, theta: float, speed: float,
 
     gamma_ff = math.atan(kappa * l)
     fb1 = k1 * (theta + math.atan(k2 * e))
-    c = math.pi / (2.0 * gamma_sat)
-    gamma_fb = math.atan(c * fb1) / c
+    gamma_fb = _saturate(fb1, gamma_sat)
     gamma = gamma_ff + gamma_fb
 
     ct, st = math.cos(theta), math.sin(theta)
@@ -266,6 +263,7 @@ def steer_derivative_chain(s: float, e: float, theta: float, speed: float,
     den_e = 1.0 + (k2 * e) ** 2
     fb1_dot = k1 * (thetadot + k2 * edot / den_e)
     den_ff = 1.0 + (l * kappa) ** 2
+    c = math.pi / (2.0 * gamma_sat)
     den_fb = 1.0 + (c * fb1) ** 2
     gamma_dot = l * kdot / den_ff + fb1_dot / den_fb
 
@@ -286,4 +284,5 @@ def steer_derivative_chain(s: float, e: float, theta: float, speed: float,
                   / den_ff ** 2
                   + (fb1_ddot * den_fb - 2.0 * c * c * fb1 * fb1_dot ** 2)
                   / den_fb ** 2)
-    return SteerCommand(gamma, gamma_ff, gamma_fb, gamma_dot, gamma_ddot)
+    return SteerCommand(gamma, gamma_ff, gamma_fb, gamma_dot, gamma_ddot,
+                        (sdot, edot, thetadot))

@@ -25,6 +25,19 @@ TUBE_EPS = 1e-9
 CLOSURE_RTOL = 1e-6
 _TIE_DIST = 1e-9          # equidistance tolerance for ambiguity detection
 _TIE_SEPARATION = 1e-3    # fraction of perimeter separating distinct minima
+_CSV_BLOCK = 256          # CSV rows per % operation; keeps each block's
+                          # strings below malloc's 128 KiB mmap threshold
+
+
+def write_csv(dest, header, columns) -> None:
+    """Write equal-length columns at ``%.12g``; a None column stays empty."""
+    present = [c for c in columns if c is not None]
+    line = ",".join("" if c is None else "%.12g" for c in columns) + "\n"
+    with open(dest, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(present[0]), _CSV_BLOCK):
+            rows = np.column_stack([c[i:i + _CSV_BLOCK] for c in present])
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def wrap_angle(angle: float) -> float:
@@ -298,10 +311,8 @@ class PathTable:
     # -- CSV -------------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("s,x,y,psi,kappa\n")
-            for row in zip(self.s, self.x, self.y, self.psi, self.kappa):
-                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        write_csv(path, ("s", "x", "y", "psi", "kappa"),
+                  (self.s, self.x, self.y, self.psi, self.kappa))
 
     @classmethod
     def from_csv(cls, path, closed: bool = False) -> "PathTable":

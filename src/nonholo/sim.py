@@ -14,13 +14,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import (driving_force, feedback_law, longitudinal_accel,
-                      preview_max_curvature, steer_derivative_chain,
-                      steering_saturation, target_speed)
+from .control import (LAWS, WrapperSpec, driving_force, feedback_law,
+                      longitudinal_accel, preview_max_curvature,
+                      steer_derivative_chain, steering_saturation,
+                      steering_torque, target_speed)
 from .errors import GuardTripped, ModelGuardError, TubeSingularity
 from .models import Variant, constraining_forces
 from .params import ControlGains, VehicleParams
-from .path import TUBE_EPS, CurvatureProfile, PathTable, build_path
+from .path import (TUBE_EPS, CurvatureProfile, PathTable, build_path,
+                   write_csv)
 
 # the model each controller mode's closed loop integrates
 MODE_MODELS = {
@@ -63,10 +65,27 @@ class Scenario:
     wrapper_n: int = 2
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.duration < self.dt:
-            raise ValueError("need dt > 0 and duration >= dt")
+        if not self.dt > 0.0:
+            raise ValueError("key 'dt': must be positive")
+        n = self.duration / self.dt
+        if not (0.5 <= n < math.inf and abs(n - round(n)) <= 1e-9 * n):
+            raise ValueError(f"key 'duration': {self.duration:g} s is not a "
+                             f"whole number of dt = {self.dt:g} s steps")
         if self.mode not in MODES:
-            raise ValueError(f"unknown controller mode {self.mode!r}")
+            raise ValueError(f"key 'mode': unknown mode {self.mode!r}")
+        if self.law not in LAWS:
+            raise ValueError(f"key 'law': {self.law!r} is not one of {LAWS}")
+        try:
+            WrapperSpec(self.wrapper_n, 1.0)
+        except ValueError as exc:
+            raise ValueError(f"key 'wrapper_n': {exc}") from exc
+        longitudinal = self.mode == "steer_longitudinal"
+        if longitudinal and (self.law, self.wrapper_n) != ("wrapped", 2):
+            raise ValueError("key 'law': steer_longitudinal needs the wrapped "
+                             "law with wrapper_n = 2")
+        if longitudinal and self.gains.t_L != 0.0:
+            raise ValueError("key 't_L': steer_longitudinal needs t_L = 0; "
+                             "look-ahead applies to steer_torque")
         kappa0 = self.profile.kappa(self.s0)
         if abs(kappa0 * self.e0) >= 1.0:
             raise ValueError("initial state outside the curvature tube")
@@ -99,14 +118,7 @@ class SimTrace:
         return self.data["t"]
 
     def to_csv(self, path) -> None:
-        n = len(self.t)
-        cols = [self.data[name] for name in TRACE_COLUMNS]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for i in range(n):
-                fh.write(",".join(
-                    "" if c is None else f"{c[i]:.12g}" for c in cols) + "\n")
-        return None
+        write_csv(path, TRACE_COLUMNS, [self.data[n] for n in TRACE_COLUMNS])
 
     def summary(self) -> dict[str, float]:
         e = self["e_C"]
@@ -243,15 +255,13 @@ def _make_loop(sc: Scenario):
         V = sc.V
         gsat = steering_saturation(V, gains, params)
         t_L = gains.t_L
-        k_s, T_sat = gains.k_s, gains.T_sat
-        cT = math.pi / (2.0 * T_sat)
 
         def steer_torque(t, y, diag=False):
             s, e, th, g, s2 = y
             gff = math.atan(prof.kappa(s + V * t_L) * l)
             gfb = fb(e, th, gsat)
             gdes = gff + gfb
-            T_s = math.atan(cT * k_s * (g - gdes)) / cT
+            T_s = steering_torque(g, gdes, gains)
             kap = prof.kappa(s)
             cg = math.cos(g)
             sd = V * math.cos(th) / _tube_guard(kap, e)
@@ -267,12 +277,8 @@ def _make_loop(sc: Scenario):
                            "gamma_fb", "T_s", "sigma1", "a_lat")
 
     # steer_longitudinal: force-driven skate model, rear wheel drive,
-    # feedback-linearizing force from the steering-derivative chain
-    if sc.law != "wrapped" or sc.wrapper_n != 2:
-        raise ValueError("longitudinal mode uses the wrapped n=2 steering law")
-    if gains.t_L != 0.0:
-        raise ValueError("the steering-derivative chain is specialized to "
-                         "t_L = 0; look-ahead applies to the torque-steer mode")
+    # feedback-linearizing force from the steering-derivative chain, which
+    # also supplies the path-frame rates
     preview = gains.preview_dist
 
     def steer_longitudinal(t, y, diag=False):
@@ -284,21 +290,18 @@ def _make_loop(sc: Scenario):
                                      gsat, params)
         F = driving_force(a_des, cmd.gamma_des, cmd.gamma_dot,
                           cmd.gamma_ddot, s1, params)
-        kap = prof.kappa(s)
-        one = 1.0 - kap * e  # steer_derivative_chain guards the tube
         g = cmd.gamma_des
         tg = math.tan(g)
         cg = math.cos(g)
-        sd = s1 * math.cos(th) / one
         s1d = (F.F_R - m2 * tg / (cg * cg) * s1 * cmd.gamma_dot
                - J_F / l * cmd.gamma_ddot * tg) / (m1 + m2 * tg * tg)
-        dy = (sd, s1 * math.sin(th), s1 * tg / l - kap * sd, s1d)
+        dy = (*cmd.rates, s1d)
         if not diag:
             return dy
         forces = constraining_forces(s1, g, cmd.gamma_dot, cmd.gamma_ddot,
                                      F.F_R, 0.0, params)
         return dy, (g, s1, g, cmd.gamma_ff, cmd.gamma_fb, F.F_R, a_des,
-                    v_des, s1 * s1 * math.tan(g) / l, F.iota, F.a1, F.a2,
+                    v_des, s1 * s1 * tg / l, F.iota, F.a1, F.a2,
                     forces.mu_R, forces.mu_F)
 
     return [sc.s0, sc.e0, sc.theta0, sc.sigma1_0], steer_longitudinal, (

@@ -8,9 +8,12 @@ the distance the slow eigenvalue needs, and criterion 6 asserts 0.5 m/s at
 the curvature apexes, where the speed schedule promises it.
 """
 
+import importlib
 import math
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +43,16 @@ def fig13():
 @pytest.fixture(scope="module")
 def fig16():
     return run_scenario(named_scenario("fig16"))
+
+
+@pytest.fixture(scope="module")
+def fig17():
+    return run_scenario(named_scenario("fig17"))
+
+
+@pytest.fixture(scope="module")
+def fig18():
+    return run_scenario(named_scenario("fig18"))
 
 
 @pytest.fixture(scope="module")
@@ -422,3 +435,29 @@ def test_criterion_13_path_closure():
         details.append(f"N={N}: gap {gap:.1e} m, heading {heading:.12f}")
     ok = report(13, ok, "; ".join(details))
     assert ok
+
+
+def test_traces_match_benchmark_reference(fig13, fig16, fig17, fig18, fig20,
+                                          fig21):
+    """Seed-0 digests of the named figures agree with perfbench's reference.
+
+    The benchmark's own digest and comparison (1e-12, relative above 1) are
+    used, so a change that moves a trace fails here as well as there.
+    """
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        checks = importlib.import_module("checks")
+    finally:
+        sys.path.remove(bench)
+    traces = {"lateral": {"fig13": fig13, "fig16": fig16, "fig17": fig17,
+                          "fig18": fig18},
+              "longitudinal": {"fig20": fig20, "fig21": fig21}}
+    problems = []
+    for workload, figures in traces.items():
+        reference = checks.load_reference(workload)
+        for name, trace in figures.items():
+            assert name in reference, f"{workload}/{name} has no digest"
+            problems += checks.compare(checks.trace_digest(trace),
+                                       reference[name], name)
+    assert not problems, problems[:10]

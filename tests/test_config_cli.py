@@ -133,6 +133,13 @@ class TestCli:
         ("sim {\n    model = wheel_torque_torque_steer\n}\n", "model"),
         ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
          "    step = 60\n}\n", "step"),
+        ("controller {\n    law = bogus\n}\n", "law"),
+        ("controller {\n    wrapper_n = 1\n}\n", "wrapper_n"),
+        ("controller {\n    mode = steer_longitudinal\n    law = linear\n}\n",
+         "law"),
+        ("controller {\n    mode = steer_longitudinal\n    t_L = 0.3\n}\n",
+         "t_L"),
+        ("sim {\n    duration = 1\n    dt = 0.3\n}\n", "duration"),
     ])
     def test_simulate_bad_config_exit_2(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "bad.cfg"
@@ -197,6 +204,16 @@ class TestCli:
         rc = main(["sweep", "--param", "bogus", "--values", "1",
                    "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv,key", [
+        (["--values", "0.1", "--dt", "0.3"], "duration"),
+        (["--figure", "fig20", "--values", "0.3"], "t_L"),
+    ])
+    def test_sweep_bad_scenario_exit_2(self, tmp_path, capsys, argv, key):
+        rc = main(["sweep", "--param", "t_L", *argv, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "Traceback" not in err
 
     def test_sweep_lookahead(self, tmp_path, capsys):
         rc = main(["sweep", "--param", "t_L", "--values", "0,0.3",

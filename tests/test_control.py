@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonholo.control import (WrapperSpec, desired_heading, driving_force,
-                             feedback_steer, feedforward_steer,
+                             feedback_law, feedback_steer, feedforward_steer,
                              longitudinal_accel, preview_max_curvature,
                              steer_derivative_chain, steering_saturation,
                              steering_torque, target_speed, wrapper,
@@ -33,6 +33,9 @@ class TestWrapperFamily:
         spec = WrapperSpec(2, 1.0)
         assert wrapper(spec, 1e9) == pytest.approx(1.0, abs=1e-6)
         assert wrapper(spec, 1e9) < 1.0
+        for bound in (1.0, 0.0257, 0.7, 6.0, math.pi / 2):
+            for x in (1e300, -1e300):
+                assert abs(wrapper(WrapperSpec(2, bound), x)) < bound
 
     def test_against_quadrature(self):
         for n in range(2, 9):
@@ -159,6 +162,8 @@ class TestSteering:
         assert abs(steering_torque(10.0, 0.0, gains)) == \
             pytest.approx(1.0, abs=1e-2)
         assert abs(steering_torque(10.0, 0.0, gains)) < 1.0
+        for gamma in (1e300, -1e300):
+            assert abs(steering_torque(gamma, 0.0, gains)) < gains.T_sat
         delta = 1e-8
         assert steering_torque(delta, 0.0, gains) / delta == \
             pytest.approx(-6.0, rel=1e-6)
@@ -190,6 +195,9 @@ class TestLongitudinal:
         assert longitudinal_accel(20.0, 20.0, gains) == 0.0
         assert longitudinal_accel(0.0, 1e6, gains) == pytest.approx(6.0, abs=1e-3)
         assert abs(longitudinal_accel(0.0, 1e6, gains)) < 6.0
+        for v_des in (1e300, -1e300):
+            assert abs(longitudinal_accel(0.0, v_des, gains)) < \
+                gains.a_long_max
         small = longitudinal_accel(19.999, 20.0, gains)
         assert small == pytest.approx(-(-5.0) * 0.001, rel=1e-6)
         assert small > 0.0
@@ -223,6 +231,30 @@ class TestLongitudinal:
 
 
 class TestDerivativeChain:
+    @settings(max_examples=300)
+    @given(k1=st.floats(-3.0, -0.01), k2=st.floats(0.001, 0.2),
+           s=st.floats(0.0, 1000.0), e=st.floats(-20.0, 20.0),
+           th=st.floats(-1.0, 1.0), gsat=st.floats(1e-3, 1.0))
+    def test_gamma_fb_is_the_feedback_law(self, params, n4_profile, k1, k2,
+                                          s, e, th, gsat):
+        gains = ControlGains(k1=k1, k2=k2)
+        cmd = steer_derivative_chain(s, e, th, 20.0, 0.0, n4_profile, gains,
+                                     gsat, params)
+        assert cmd.gamma_fb == feedback_law(gains)(e, th, gsat)
+
+    def test_rates_are_path_frame_kinematics(self, params, gains, n4_profile,
+                                             rng):
+        for _ in range(50):
+            s, e = rng.uniform(0.0, 1000.0), rng.uniform(-20.0, 20.0)
+            th, v = rng.uniform(-1.0, 1.0), rng.uniform(1.0, 30.0)
+            cmd = steer_derivative_chain(s, e, th, v, 0.5, n4_profile, gains,
+                                         0.05, params)
+            kap = n4_profile.kappa(s)
+            sd = v * math.cos(th) / (1.0 - kap * e)
+            assert cmd.rates == (
+                sd, v * math.sin(th),
+                v * math.tan(cmd.gamma_des) / params.l - kap * sd)
+
     def test_steady_state_on_constant_curvature(self, params, gains):
         prof = CurvatureProfile.circle(200.0)
         cmd = steer_derivative_chain(40.0, 0.0, 0.0, 20.0, 0.0, prof, gains,

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nonholo.errors import AmbiguousProjection, NonClosure, TubeSingularity
 from nonholo.path import (CurvatureProfile, PathQuery, PathTable, build_path,
                           frame_rates, frame_rates_inverse, reconstruct_pose,
-                          wrap_angle)
+                          wrap_angle, write_csv)
 
 KAPPA_N4 = 0.004 * math.pi
 
@@ -95,6 +95,27 @@ class TestBuildPath:
         back = PathTable.from_csv(dest, closed=True)
         assert np.allclose(back.x, n4_table.x, atol=1e-9)
         assert np.allclose(back.psi, n4_table.psi, atol=1e-9)
+
+
+def test_write_csv_matches_row_wise_format(tmp_path, rng):
+    # 2500 rows cross several block boundaries and end in a partial block;
+    # the expected bytes are those of the row-by-row f-string writer
+    n = 2500
+    special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300,
+               0.0, 1.0, 0.1, 1.0 / 3.0, 123456789012.5, 2.0 ** 53]
+    cols = [np.arange(n) * 0.001,
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+            None,
+            np.resize(np.array(special), n),
+            [float(v) for v in rng.uniform(-1e6, 1e6, n)],
+            [i % 2 for i in range(n)]]
+    header = ["t", "wide", "absent", "special", "listed", "flag"]
+    dest = tmp_path / "out.csv"
+    write_csv(dest, header, cols)
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join("" if c is None else f"{c[i]:.12g}" for c in cols)
+        + "\n" for i in range(n))
+    assert dest.read_bytes() == expected.encode("utf-8")
 
 
 class TestWrapAngle:

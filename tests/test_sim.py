@@ -4,7 +4,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import pytest
 
-from nonholo.control import feedback_steer, steering_saturation
+from nonholo.control import (feedback_steer, steering_saturation,
+                             steering_torque)
 from nonholo.errors import GuardTripped
 from nonholo.models import DriveInput, Variant, eom_rhs
 from nonholo.path import CurvatureProfile, build_path
@@ -152,18 +153,33 @@ class TestScenarios:
                      mode="steer_only",
                      duration=1.0, V=10.0, e0=60.0, s0=10.0)
 
-    def test_kappa_calls_per_steer_only_run(self):
-        # 4 RK4 stages per step, the final-state row and one residual
-        # evaluation per row: 4n + 1 + (n + 1)
-        n = 100
-        sc = named_scenario("fig16")
+    @staticmethod
+    def _kappa_calls(name, n):
+        sc = named_scenario(name)
         p = sc.profile
         prof = CountingProfile(p.kind, p.kappa_const, p.kappa_max, p.s_T, p.N)
         sc = replace(sc, profile=prof, duration=n * sc.dt)
         table = build_path(prof)
         prof.calls.clear()
         run_scenario(sc, table)
-        assert len(prof.calls) == 5 * n + 2
+        return len(prof.calls)
+
+    def test_kappa_calls_per_steer_only_run(self):
+        # 4 RK4 stages per step, the final-state row and one residual
+        # evaluation per row: 4n + 1 + (n + 1)
+        assert self._kappa_calls("fig16", 100) == 5 * 100 + 2
+
+    def test_kappa_calls_per_steer_longitudinal_run(self):
+        # the derivative chain is the only kappa(s) of a stage
+        assert self._kappa_calls("fig20", 100) == 5 * 100 + 2
+
+    @pytest.mark.parametrize("name", ["fig17", "fig18"])
+    def test_torque_column_is_the_servo(self, name):
+        sc = replace(named_scenario(name), duration=2.0)
+        trace = run_scenario(sc)
+        servo = [steering_torque(g, g_des, sc.gains)
+                 for g, g_des in zip(trace["gamma"], trace["gamma_des"])]
+        assert np.array_equal(servo, trace["T_s"])
 
     @pytest.mark.parametrize("law,n", [("linear", 2), ("nonlinear", 2),
                                        ("wrapped", 2), ("wrapped", 3),
