@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateEquilibrium, GuardTripped, SingularEncounter
-from .models import DriveInput, Variant, eom_rhs
+from .models import DriveInput, Variant, eom_floats
 from .params import ControlGains, VehicleParams
 from .sim import integrate
 
@@ -51,6 +51,22 @@ class StabilityVerdict:
         return self.stable == self.criterion_stable
 
 
+def _kinematic_matrices(kappa_star: float, V: float, l: float,
+                        k1, k2) -> np.ndarray:
+    """The (e, theta) matrices [[0, V], [a_e, a_th]] of the kinematic loop.
+
+    ``k1`` and ``k2`` may be arrays of one shape; the matrices are then
+    stacked on their leading axes, as ``np.linalg.eigvals`` takes them.
+    """
+    k1, k2 = np.asarray(k1, dtype=float), np.asarray(k2, dtype=float)
+    one = 1.0 + kappa_star ** 2 * l ** 2
+    A = np.zeros(np.broadcast_shapes(k1.shape, k2.shape) + (2, 2))
+    A[..., 0, 1] = V
+    A[..., 1, 0] = V / l * (k1 * k2 * one - kappa_star ** 2 * l)
+    A[..., 1, 1] = V / l * k1 * one
+    return A
+
+
 def linearize_kinematic(kappa_star: float, V: float, l: float,
                         k1: float, k2: float,
                         full: bool = False) -> LinearModel:
@@ -61,10 +77,7 @@ def linearize_kinematic(kappa_star: float, V: float, l: float,
     zero: curvature perturbations do not enter the linearized error dynamics,
     so the loop tracks varying-curvature paths exactly.
     """
-    one = 1.0 + kappa_star ** 2 * l ** 2
-    a_e = V / l * (k1 * k2 * one - kappa_star ** 2 * l)
-    a_th = V / l * k1 * one
-    A2 = np.array([[0.0, V], [a_e, a_th]])
+    A2 = _kinematic_matrices(kappa_star, V, l, k1, k2)
     if not full:
         return LinearModel(A2, np.zeros((2, 1)), ("e", "theta"), ("kappa",))
     A = np.zeros((3, 3))
@@ -73,11 +86,17 @@ def linearize_kinematic(kappa_star: float, V: float, l: float,
     return LinearModel(A, np.zeros((3, 1)), ("s", "e", "theta"), ("kappa",))
 
 
-def routh_hurwitz_kinematic(kappa_star: float, l: float,
-                            k1: float, k2: float) -> bool:
-    """Closed-form stability condition of the kinematic lateral loop."""
-    bound = kappa_star ** 2 * l / (1.0 + kappa_star ** 2 * l ** 2)
-    return k1 < 0.0 and k1 * k2 < bound
+def _routh_hurwitz_bound(kappa_star: float, l: float) -> float:
+    """The stability boundary k1*k2 = bound of the kinematic lateral loop."""
+    return kappa_star ** 2 * l / (1.0 + kappa_star ** 2 * l ** 2)
+
+
+def routh_hurwitz_kinematic(kappa_star: float, l: float, k1, k2):
+    """Closed-form stability condition of the kinematic lateral loop.
+
+    ``k1`` and ``k2`` may be arrays; the verdict is then elementwise.
+    """
+    return (k1 < 0.0) & (k1 * k2 < _routh_hurwitz_bound(kappa_star, l))
 
 
 def kinematic_stability(kappa_star: float, V: float, l: float,
@@ -90,21 +109,23 @@ def kinematic_stability(kappa_star: float, V: float, l: float,
 
 def stability_grid(k1_values, k2_values, kappa_star: float, V: float, l: float,
                    boundary_band: float = 1e-8):
-    """Sweep (k1, k2); yields rows (k1, k2, criterion, max_real, agree, near).
+    """Sweep (k1, k2); returns rows (k1, k2, criterion, max_real, agree, near).
 
+    k1 varies slowest. All matrices go to one batched eigenvalue call.
     Points within ``boundary_band`` of the closed-form stability boundary are
     flagged ``near`` and excluded from agreement statistics by callers.
     """
-    bound = kappa_star ** 2 * l / (1.0 + kappa_star ** 2 * l ** 2)
-    rows = []
-    for k1 in k1_values:
-        for k2 in k2_values:
-            verdict = kinematic_stability(kappa_star, V, l, k1, k2)
-            near = abs(k1) < boundary_band or abs(k1 * k2 - bound) < boundary_band
-            rows.append((float(k1), float(k2), verdict.criterion_stable,
-                         float(np.max(np.real(verdict.eigenvalues))),
-                         verdict.agree, near))
-    return rows
+    k1, k2 = (g.ravel() for g in np.meshgrid(
+        np.asarray(k1_values, dtype=float), np.asarray(k2_values, dtype=float),
+        indexing="ij"))
+    eig = np.linalg.eigvals(_kinematic_matrices(kappa_star, V, l, k1, k2))
+    max_real = eig.real.max(axis=1)
+    criterion = routh_hurwitz_kinematic(kappa_star, l, k1, k2)
+    near = (np.abs(k1) < boundary_band) | (
+        np.abs(k1 * k2 - _routh_hurwitz_bound(kappa_star, l)) < boundary_band)
+    return list(zip(k1.tolist(), k2.tolist(), criterion.tolist(),
+                    max_real.tolist(), ((max_real < 0.0) == criterion).tolist(),
+                    near.tolist()))
 
 
 def linearize_steering(kappa_star: float, V: float, params: VehicleParams,
@@ -233,10 +254,11 @@ def _integrate_open_loop(variant: Variant, y0, sc: EquivalenceScenario,
             return [math.nan] * len(y)
         g, gd, gdd = sc.gamma_fn(t)
         fr, ff = sc.F_R_fn(t), sc.F_F_fn(t)
-        drive = dict(T_R=r * fr, T_F=r * ff) if to_torque \
-            else dict(F_R=fr, F_F=ff)
-        u = DriveInput(gamma=g, gamma_dot=gd, gamma_ddot=gdd, **drive)
-        return eom_rhs(variant, y, u, params)
+        if to_torque:
+            u = DriveInput(g, gd, gdd, T_R=r * fr, T_F=r * ff)
+        else:
+            u = DriveInput(g, gd, gdd, F_R=fr, F_F=ff)
+        return eom_floats(variant, y, u, params)
 
     try:
         _, out = integrate(rhs, y0, sc.dt, sc.duration)
@@ -273,6 +295,8 @@ def verify_equivalence(pair: str, params: VehicleParams,
     base0 = [sc.x0, sc.y0, sc.psi0, sc.sigma1_0]
     ref = _integrate_open_loop(Variant.SKATE_FORCE, base0, sc, params,
                                to_torque=False)
+    # the steering angle at each committed sample, evaluated once
+    gammas = [sc.gamma_fn(k * sc.dt)[0] for k in range(len(ref))]
 
     if pair == "skate_wheel":
         other = _integrate_open_loop(
@@ -280,33 +304,25 @@ def verify_equivalence(pair: str, params: VehicleParams,
             to_torque=True)
         mapped = other[:, :4]
     elif pair == "alt_pseudo":
-        g0 = sc.gamma_fn(0.0)[0]
-        alt0 = base0[:3] + [sc.sigma1_0 / math.cos(g0)]
+        alt0 = base0[:3] + [sc.sigma1_0 / math.cos(gammas[0])]
         other = _integrate_open_loop(
             Variant.SKATE_FORCE_ALT_PSEUDO, alt0, sc, params, to_torque=False)
         mapped = other.copy()
-        n = mapped.shape[0]
-        for i in range(n):
-            g = sc.gamma_fn(i * sc.dt)[0]
-            mapped[i, 3] = other[i, 3] * math.cos(g)
+        mapped[:, 3] = [s * math.cos(g) for s, g in zip(other[:, 3], gammas)]
     else:
         # the yaw-rate form breaks down near gamma = 0 (cot gamma unbounded);
         # reject scenarios whose steering signal enters that band
-        n_scan = int(round(sc.duration / sc.dt))
-        min_gamma = min(abs(sc.gamma_fn(k * sc.dt)[0]) for k in range(n_scan + 1))
+        min_gamma = min(map(abs, gammas))
         if min_gamma < 1e-3:
             raise SingularEncounter(
                 f"steering signal reaches |gamma| = {min_gamma:.2e}: "
                 f"the yaw-rate pseudo-velocity form is singular at gamma = 0")
-        g0 = sc.gamma_fn(0.0)[0]
-        lag0 = base0[:3] + [sc.sigma1_0 * math.tan(g0) / params.l]
+        lag0 = base0[:3] + [sc.sigma1_0 * math.tan(gammas[0]) / params.l]
         other = _integrate_open_loop(
             Variant.SKATE_FORCE_LAGRANGE, lag0, sc, params, to_torque=False)
         mapped = other.copy()
-        n = mapped.shape[0]
-        for i in range(n):
-            g = sc.gamma_fn(i * sc.dt)[0]
-            mapped[i, 3] = other[i, 3] * params.l / math.tan(g)
+        mapped[:, 3] = [s * params.l / math.tan(g)
+                        for s, g in zip(other[:, 3], gammas)]
 
     dev = float(np.max(np.abs(mapped - ref)))
     return EquivalenceReport(pair, dev, tol)

@@ -241,6 +241,24 @@ def _run_concurrently(scenarios):
         return [run_scenario(sc) for sc in scenarios]
 
 
+def _sweep_item(param: str, v: float, base: Scenario | None, s_T: float):
+    """The WrapperSpec, CurvatureProfile or Scenario one sweep value builds.
+
+    Raises ValueError for a value the parameter cannot take.
+    """
+    if not (math.isfinite(v) or (param == "wrapper_n" and v == math.inf)):
+        raise ValueError("not a finite number")
+    if param == "wrapper_n":
+        return WrapperSpec(v, 1.0)
+    if param == "N":
+        if v != int(v):
+            raise ValueError("N must be an integer")
+        return CurvatureProfile.periodic(int(v), s_T)
+    if param == "s_T":
+        return CurvatureProfile.periodic(4, v)
+    return replace(base, gains=replace(base.gains, **{param: v}))
+
+
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
     if args.param not in SWEEP_PARAMS:
@@ -252,26 +270,30 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"bad values: {exc}", file=sys.stderr)
         return 2
+    base = None
+    if args.param in ("t_L", "a_lat_max"):
+        try:
+            base = named_scenario(
+                args.figure or ("fig17" if args.param == "t_L" else "fig20"),
+                dt=args.dt or 1e-3)
+        except ValueError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+    items = []
+    for v in values:
+        try:
+            items.append(_sweep_item(args.param, v, base, args.s_T))
+        except ValueError as exc:
+            print(f"config error: --param '{args.param}' value {v:g}: {exc}",
+                  file=sys.stderr)
+            return 2
 
     if args.param == "wrapper_n":
-        return _sweep_wrapper(values, out)
-    if args.param == "N":
-        return _sweep_paths([CurvatureProfile.periodic(int(v), args.s_T)
-                             for v in values], out)
-    if args.param == "s_T":
-        return _sweep_paths([CurvatureProfile.periodic(4, v) for v in values],
-                            out)
-
-    base = args.figure or ("fig17" if args.param == "t_L" else "fig20")
+        return _sweep_wrapper(values, items, out)
+    if base is None:
+        return _sweep_paths(items, out)
     try:
-        sc = named_scenario(base, dt=args.dt or 1e-3)
-        scenarios = [replace(sc, gains=replace(sc.gains, **{args.param: v}))
-                     for v in values]
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        traces = _run_concurrently(scenarios)
+        traces = _run_concurrently(items)
     except GuardTripped as exc:
         print(f"guard tripped during sweep: {exc}", file=sys.stderr)
         return 3
@@ -290,14 +312,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_wrapper(values, out: Path) -> int:
+def _sweep_wrapper(values, specs, out: Path) -> int:
     xs = np.linspace(-6.0, 6.0, 601)
     dest = out / "wrapper_curves.csv"
     panels = [Panel("wrapper g_n(x)", "x", "g_n(x)"),
               Panel("downscale factor g_n'(x)", "x", "g_n'(x)")]
     header, cols = ["x"], [xs]
-    for v in values:
-        spec = WrapperSpec(math.inf if math.isinf(v) else int(v), 1.0)
+    for v, spec in zip(values, specs):
         g = [wrapper(spec, float(x)) for x in xs]
         gp = [wrapper_deriv(spec, float(x)) for x in xs]
         header += [f"g_{v:g}", f"gp_{v:g}"]

@@ -101,6 +101,9 @@ def _profile_from(block: dict[str, str], source: str) -> CurvatureProfile:
         if "radius" in vals:
             return CurvatureProfile.circle(vals["radius"])
         if "kappa_max" in vals:
+            if vals["kappa_max"] == 0.0:
+                raise ConfigError(f"{source}: key 'kappa_max': a circle "
+                                  f"needs a nonzero curvature")
             return CurvatureProfile.circle(1.0 / vals["kappa_max"])
         raise ConfigError(f"{source}: circle path needs key 'radius'")
     if kind == "periodic":

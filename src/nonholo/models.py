@@ -14,7 +14,7 @@ derivatives vanish to machine precision at any state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -100,12 +100,24 @@ class DriveInput:
     T_s: float = 0.0
 
     def validate_for(self, variant: Variant) -> None:
-        allowed = INPUT_FIELDS[variant]
-        for name in ("gamma", "gamma_dot", "gamma_ddot",
-                     "F_R", "F_F", "T_R", "T_F", "T_s"):
-            if name not in allowed and getattr(self, name) != 0.0:
+        for name in variant.forbidden:
+            if getattr(self, name) != 0.0:
                 raise ValueError(
                     f"input {name} is not used by {variant.value} and must be zero")
+
+
+# Each member carries its flags, so the per-call model bodies read attributes
+# instead of hashing the Enum (a Python-level __hash__) into the tables above.
+for _v in Variant:
+    _v.n_states = len(STATE_FIELDS[_v])
+    _v.forbidden = tuple(f.name for f in fields(DriveInput)
+                         if f.name not in INPUT_FIELDS[_v])
+    _v.constrained_speed = _v in CONSTRAINED_SPEED
+    _v.wheel = _v in WHEEL_VARIANTS
+    _v.torque_steer = "sigma2" in STATE_FIELDS[_v]
+del _v
+_ALT_PSEUDO = Variant.SKATE_FORCE_ALT_PSEUDO
+_LAGRANGE = Variant.SKATE_FORCE_LAGRANGE
 
 
 @dataclass(frozen=True)
@@ -146,12 +158,23 @@ def eom_rhs(variant: Variant, state, u: DriveInput, params: VehicleParams,
     never integrated. ``env``, when given, replaces the driving pseudo-force
     with the resistance-corrected one in the force/torque driven variants.
     """
+    return np.array(eom_floats(variant, np.asarray(state, dtype=float).tolist(),
+                               u, params, V, env))
+
+
+def eom_floats(variant: Variant, y, u: DriveInput, params: VehicleParams,
+               V: float | None = None,
+               env: Environment | None = None) -> list[float]:
+    """The closed forms of :func:`eom_rhs` on a state of Python floats.
+
+    Returns the derivative as a list. Integrators that keep their state as a
+    list call this directly and skip the ndarray round trip per call.
+    """
     u.validate_for(variant)
-    y = np.asarray(state, dtype=float)
-    if len(y) != len(STATE_FIELDS[variant]):
+    if len(y) != variant.n_states:
         raise ValueError(
-            f"{variant.value} expects {len(STATE_FIELDS[variant])} states, got {len(y)}")
-    if variant in CONSTRAINED_SPEED:
+            f"{variant.value} expects {variant.n_states} states, got {len(y)}")
+    if variant.constrained_speed:
         if V is None or V <= 0.0:
             raise ValueError(f"{variant.value} needs constant speed V > 0")
     l, d = params.l, params.d
@@ -159,20 +182,18 @@ def eom_rhs(variant: Variant, state, u: DriveInput, params: VehicleParams,
     J_F = params.J_F
     psi = y[2]
 
-    if variant is Variant.SKATE_FORCE_ALT_PSEUDO:
+    if variant is _ALT_PSEUDO:
         g_, s1h = u.gamma, y[3]
         cg, sg = math.cos(g_), math.sin(g_)
         denom = m1 * cg * cg + m2 * sg * sg
-        out = np.empty(4)
-        out[0] = s1h * (math.cos(psi) * cg - d / l * math.sin(psi) * sg)
-        out[1] = s1h * (math.sin(psi) * cg + d / l * math.cos(psi) * sg)
-        out[2] = s1h * sg / l
-        out[3] = (u.F_R * cg + u.F_F
-                  + (m1 - m2) * s1h * u.gamma_dot * sg * cg
-                  - J_F / l * u.gamma_ddot * sg) / denom
-        return out
+        return [s1h * (math.cos(psi) * cg - d / l * math.sin(psi) * sg),
+                s1h * (math.sin(psi) * cg + d / l * math.cos(psi) * sg),
+                s1h * sg / l,
+                (u.F_R * cg + u.F_F
+                 + (m1 - m2) * s1h * u.gamma_dot * sg * cg
+                 - J_F / l * u.gamma_ddot * sg) / denom]
 
-    if variant is Variant.SKATE_FORCE_LAGRANGE:
+    if variant is _LAGRANGE:
         g_, s1b = u.gamma, y[3]
         if abs(g_) <= GAMMA_GUARD:
             raise LagrangeSingularity(
@@ -184,62 +205,49 @@ def eom_rhs(variant: Variant, state, u: DriveInput, params: VehicleParams,
         if env is not None:
             # sigma1 on the constraint manifold equals l*sigma1_bar/tan(gamma)
             Pi1 = resistance_pseudo_force(u.F_R, u.F_F, g_, l * s1b / t, env, params)
-        out = np.empty(4)
-        out[0] = (l * math.cos(psi) * cot - d * math.sin(psi)) * s1b
-        out[1] = (l * math.sin(psi) * cot + d * math.cos(psi)) * s1b
-        out[2] = s1b
-        out[3] = (Pi1 * t / l
-                  + m1 * u.gamma_dot * s1b / (math.sin(g_) * math.cos(g_))
-                  - J_F / l ** 2 * u.gamma_ddot * t * t) / (m1 + m2 * t * t)
-        return out
+        return [(l * math.cos(psi) * cot - d * math.sin(psi)) * s1b,
+                (l * math.sin(psi) * cot + d * math.cos(psi)) * s1b,
+                s1b,
+                (Pi1 * t / l
+                 + m1 * u.gamma_dot * s1b / (math.sin(g_) * math.cos(g_))
+                 - J_F / l ** 2 * u.gamma_ddot * t * t) / (m1 + m2 * t * t)]
 
     # the eight primary variants share the planar kinematics block
-    torque_steer = variant in (Variant.SKATE_TORQUE_STEER,
-                               Variant.SKATE_FORCE_TORQUE_STEER,
-                               Variant.WHEEL_TORQUE_STEER,
-                               Variant.WHEEL_TORQUE_TORQUE_STEER)
+    torque_steer = variant.torque_steer
     g_ = y[3] if torque_steer else u.gamma
     _guard_gamma(g_)
     t = math.tan(g_)
     cg = math.cos(g_)
-    wheel = variant in WHEEL_VARIANTS
-    if variant in CONSTRAINED_SPEED:
+    wheel = variant.wheel
+    if variant.constrained_speed:
         sp = V
     else:
         sp = y[4] if torque_steer else y[3]
 
-    out = np.empty(len(y))
-    out[0] = sp * (math.cos(psi) - d / l * math.sin(psi) * t)
-    out[1] = sp * (math.sin(psi) + d / l * math.cos(psi) * t)
-    out[2] = sp * t / l
+    out = [sp * (math.cos(psi) - d / l * math.sin(psi) * t),
+           sp * (math.sin(psi) + d / l * math.cos(psi) * t),
+           sp * t / l]
+    spin = [sp / params.r, sp / (params.r * cg)] if wheel else []
 
-    if wheel:
-        out[-2] = sp / params.r
-        out[-1] = sp / (params.r * cg)
+    if variant.constrained_speed:
+        if torque_steer:
+            sigma2 = y[4]
+            out += [sigma2, u.T_s / J_F - V * sigma2 / (l * cg * cg)]
+        return out + spin
 
-    if variant in (Variant.SKATE_KINEMATIC, Variant.WHEEL_KINEMATIC):
-        return out
-
-    if variant in (Variant.SKATE_TORQUE_STEER, Variant.WHEEL_TORQUE_STEER):
-        sigma2 = y[4]
-        out[3] = sigma2
-        out[4] = u.T_s / J_F - V * sigma2 / (l * cg * cg)
-        return out
-
-    if variant in (Variant.SKATE_FORCE, Variant.WHEEL_TORQUE):
+    if not torque_steer:
         Pi1 = (u.T_R + u.T_F / cg) / params.r if wheel \
             else u.F_R + u.F_F / cg
         if env is not None:
             F_R = u.T_R / params.r if wheel else u.F_R
             F_F = u.T_F / params.r if wheel else u.F_F
             Pi1 = resistance_pseudo_force(F_R, F_F, g_, sp, env, params)
-        out[3] = (Pi1 - m2 * t / cg ** 2 * sp * u.gamma_dot
-                  - J_F / l * u.gamma_ddot * t) / (m1 + m2 * t * t)
-        return out
+        out.append((Pi1 - m2 * t / cg ** 2 * sp * u.gamma_dot
+                    - J_F / l * u.gamma_ddot * t) / (m1 + m2 * t * t))
+        return out + spin
 
     # force/torque driven with steering torque
     sigma1, sigma2 = y[4], y[5]
-    out[3] = sigma2
     if wheel:
         Pi1 = (u.T_R + u.T_F / cg) / params.r
         if env is not None:
@@ -251,11 +259,12 @@ def eom_rhs(variant: Variant, state, u: DriveInput, params: VehicleParams,
             Pi1 = resistance_pseudo_force(u.F_R, u.F_F, g_, sigma1, env, params)
     m2r = m2 - J_F / l ** 2
     denom = m1 + m2r * t * t
-    out[4] = (Pi1 - m2r * t / cg ** 2 * sigma1 * sigma2
-              - u.T_s / l * t) / denom
-    out[5] = (-Pi1 * t / l - m1 / (l * cg * cg) * sigma1 * sigma2
-              + u.T_s / J_F * (m1 + m2 * t * t)) / denom
-    return out
+    out += [sigma2,
+            (Pi1 - m2r * t / cg ** 2 * sigma1 * sigma2
+             - u.T_s / l * t) / denom,
+            (-Pi1 * t / l - m1 / (l * cg * cg) * sigma1 * sigma2
+             + u.T_s / J_F * (m1 + m2 * t * t)) / denom]
+    return out + spin
 
 
 def constraint_residuals(variant: Variant, state, derivative, u: DriveInput,
@@ -268,11 +277,7 @@ def constraint_residuals(variant: Variant, state, derivative, u: DriveInput,
     """
     y = np.asarray(state, dtype=float)
     dy = np.asarray(derivative, dtype=float)
-    torque_steer = variant in (Variant.SKATE_TORQUE_STEER,
-                               Variant.SKATE_FORCE_TORQUE_STEER,
-                               Variant.WHEEL_TORQUE_STEER,
-                               Variant.WHEEL_TORQUE_TORQUE_STEER)
-    g_ = y[3] if torque_steer else u.gamma
+    g_ = y[3] if variant.torque_steer else u.gamma
     psi = y[2]
     xd, yd, pd = dy[0], dy[1], dy[2]
     l, d = params.l, params.d
@@ -281,9 +286,9 @@ def constraint_residuals(variant: Variant, state, derivative, u: DriveInput,
         xd * math.sin(psi + g_) - yd * math.cos(psi + g_)
         - (l - d) * pd * math.cos(g_),
     ]
-    if variant in CONSTRAINED_SPEED:
+    if variant.constrained_speed:
         res.append(xd * math.cos(psi) + yd * math.sin(psi) - V)
-    if variant in WHEEL_VARIANTS:
+    if variant.wheel:
         res.append(xd * math.cos(psi) + yd * math.sin(psi) - params.r * dy[-2])
         res.append(xd * math.cos(psi + g_) + yd * math.sin(psi + g_)
                    + (l - d) * pd * math.sin(g_) - params.r * dy[-1])

@@ -67,6 +67,8 @@ class CurvatureProfile:
     def __post_init__(self):
         if self.kind not in ("straight", "circle", "periodic"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        if self.kind == "circle" and not 0.0 < abs(self.kappa_const) < math.inf:
+            raise ValueError("circle needs a finite, nonzero curvature")
         if self.kind == "periodic":
             if self.N < 2 or self.s_T <= 0.0 or self.kappa_max < 0.0:
                 raise ValueError("periodic profile needs N >= 2, s_T > 0, kappa_max >= 0")
@@ -83,10 +85,15 @@ class CurvatureProfile:
 
     @classmethod
     def circle(cls, radius: float) -> "CurvatureProfile":
+        if radius == 0.0:
+            raise ValueError("circle needs a nonzero radius")
         return cls(kind="circle", kappa_const=1.0 / radius)
 
     @classmethod
     def periodic(cls, N: int, s_T: float) -> "CurvatureProfile":
+        if not (N >= 2 and 0.0 < s_T < math.inf):
+            # checked before kappa_max divides by N*s_T
+            raise ValueError("periodic profile needs N >= 2 and a finite s_T > 0")
         return cls(kind="periodic", kappa_max=4.0 * math.pi / (N * s_T),
                    s_T=s_T, N=N)
 

@@ -64,9 +64,7 @@ def pathframe_rhs(variant: Variant, point: TrackPoint, state,
     if abs(one) < TUBE_EPS:
         raise TubeSingularity(f"1 - kappa*e = {one:.3e} at s = {s:.3f}")
 
-    torque_steer = variant in (Variant.SKATE_TORQUE_STEER,
-                               Variant.SKATE_FORCE_TORQUE_STEER)
-    gamma = y[3] if torque_steer else u.gamma
+    gamma = y[3] if variant.torque_steer else u.gamma
     if abs(gamma) >= 0.5 * math.pi - 1e-9:
         raise SteeringSingularity(f"|gamma| = {abs(gamma):.9f} rad")
     t = math.tan(gamma)

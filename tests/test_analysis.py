@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonholo.analysis import (EquivalenceScenario, _sine_steer,
                               kinematic_stability, linearize_kinematic,
@@ -13,6 +14,23 @@ from nonholo.control import (longitudinal_accel, target_speed,
 from nonholo.errors import DegenerateEquilibrium, SingularEncounter
 
 TABLE5 = dict(V=20.0, l=2.57, k1=-0.5, k2=0.02)
+CLI_KAPPAS = (0.0, 0.005, 0.012566370614359173)
+
+
+def assert_grid_matches_scalar(k1_values, k2_values, kappa, V, l,
+                               band=1e-8):
+    """Each batched stability_grid row equals the per-point reference."""
+    rows = stability_grid(k1_values, k2_values, kappa, V, l, band)
+    assert len(rows) == len(k1_values) * len(k2_values)
+    bound = kappa ** 2 * l / (1.0 + kappa ** 2 * l ** 2)
+    points = [(float(a), float(b)) for a in k1_values for b in k2_values]
+    for row, (k1, k2) in zip(rows, points):
+        verdict = kinematic_stability(kappa, V, l, k1, k2)
+        near = abs(k1) < band or abs(k1 * k2 - bound) < band
+        assert row == (k1, k2, routh_hurwitz_kinematic(kappa, l, k1, k2),
+                       float(np.max(np.real(verdict.eigenvalues))),
+                       verdict.agree, near)
+        assert row[2] == verdict.criterion_stable
 
 
 def fd_jacobian(f, x0, h=1e-6):
@@ -102,6 +120,28 @@ class TestRouthHurwitz:
             checked = [r for r in rows if not r[5]]
             assert checked
             assert all(r[4] for r in checked)
+
+
+    @pytest.mark.parametrize("kappa", CLI_KAPPAS)
+    def test_grid_equals_scalar_reference(self, kappa):
+        assert_grid_matches_scalar(np.linspace(-2.0, 0.5, 80),
+                                   np.linspace(-0.05, 0.1, 80), kappa, 20.0,
+                                   2.57)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kappa=st.sampled_from(CLI_KAPPAS) | st.floats(0.0, 0.2),
+           k1=st.lists(st.floats(-3.0, 1.0), min_size=1, max_size=5),
+           k2=st.lists(st.floats(-0.2, 0.2), max_size=5),
+           offset=st.floats(-2e-8, 2e-8))
+    def test_grid_equals_scalar_reference_near_boundary(self, kappa, k1, k2,
+                                                        offset):
+        l = 2.57
+        bound = kappa ** 2 * l / (1.0 + kappa ** 2 * l ** 2)
+        # points on either side of k1*k2 = bound and of k1 = 0, inside and
+        # just outside the boundary band
+        k2 = k2 + [(bound + offset) / a for a in k1 if abs(a) > 1e-3]
+        k1 = k1 + [offset]
+        assert_grid_matches_scalar(np.array(k1), np.array(k2), kappa, 20.0, l)
 
 
 class TestSteeringLinearization:

@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nonholo.cli import main
-from nonholo.config import dump_config, scenario_from_config
+from nonholo.config import _BLOCKS, dump_config, scenario_from_config
+from nonholo.control import LAWS
 from nonholo.errors import ConfigError
 from nonholo.models import Variant
 from nonholo.params import VehicleParams, load_params, save_params
-from nonholo.sim import named_scenario
+from nonholo.sim import MODES, named_scenario
 
 MINIMAL = """
 path {
@@ -27,6 +29,43 @@ output {
     plot = false
 }
 """
+
+# values drawn for the fuzzed config texts: plausible ones, edge cases
+# (zero, sign, subnormal, huge, non-finite) and words that are not numbers
+_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0", "1", "-1", "2", "4", "0.5", "0.01", "250",
+                     "1e-320", "1e308", "-1e308", "nan", "inf", "-inf",
+                     "2.5", "x", ""]),
+    st.floats().map(repr))
+_WORDS = {
+    "kind": ["straight", "circle", "periodic", "spiral"],
+    "mode": [*MODES, "bogus"],
+    "law": [*LAWS, "bogus"],
+    "wrapper_n": ["2", "3", "inf", "1", "-inf", "nan", "2.5", "x"],
+    "model": [v.value for v in Variant] + ["bogus"],
+    "plot": ["true", "false", "maybe"],
+    "dir": ["results"],
+}
+
+
+@st.composite
+def config_texts(draw):
+    lines = []
+    for block, keys in _BLOCKS.items():
+        if draw(st.booleans()):
+            continue
+        lines.append(f"{block} {{")
+        for key in draw(st.lists(st.sampled_from(keys), unique=True,
+                                 max_size=6)):
+            value = draw(st.sampled_from(_WORDS[key]) if key in _WORDS
+                         else _NUMBERS)
+            lines.append(f"    {key} = {value}")
+        lines.append("}")
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["}", "sim {", "k1 = 1", "bogus {",
+                                           "junk", "# comment"])))
+    return "\n".join(lines) + "\n"
 
 
 class TestConfig:
@@ -170,6 +209,20 @@ class TestCli:
         assert sc.profile.N == 4
         assert sc.duration == 50.0
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=config_texts())
+    def test_config_fuzz_exits_0_or_2(self, tmp_path, capsys, text):
+        path = tmp_path / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        rc = main(["simulate", "--config", str(path), "--dump-config",
+                   "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc in (0, 2)
+        if rc == 0:
+            # the canonical text parses back to itself
+            assert dump_config(scenario_from_config(out)[0]) == out
+
     def test_env_var_overrides_out(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NONHOLO_OUT", str(tmp_path / "envdir"))
         rc = main(["simulate", "--figure", "fig13", "--no-plot",
@@ -206,14 +259,21 @@ class TestCli:
         assert rc == 2
 
     @pytest.mark.parametrize("argv,key", [
-        (["--values", "0.1", "--dt", "0.3"], "duration"),
-        (["--figure", "fig20", "--values", "0.3"], "t_L"),
+        (["--param", "t_L", "--values", "0.1", "--dt", "0.3"], "duration"),
+        (["--param", "t_L", "--figure", "fig20", "--values", "0.3"], "t_L"),
+        (["--param", "wrapper_n", "--values", "2,1"], "wrapper_n"),
+        (["--param", "N", "--values", "1"], "N"),
+        (["--param", "s_T", "--values", "-5"], "s_T"),
     ])
     def test_sweep_bad_scenario_exit_2(self, tmp_path, capsys, argv, key):
-        rc = main(["sweep", "--param", "t_L", *argv, "--out", str(tmp_path)])
+        rc = main(["sweep", *argv, "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
         assert f"'{key}'" in err and "Traceback" not in err
+        if key == argv[1]:
+            # a bad value of the swept parameter is named as well
+            bad = argv[argv.index("--values") + 1].split(",")[-1]
+            assert f"value {bad}:" in err
 
     def test_sweep_lookahead(self, tmp_path, capsys):
         rc = main(["sweep", "--param", "t_L", "--values", "0,0.3",

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nonholo.errors import (BadSplit, LagrangeSingularity, SteeringSingularity)
-from nonholo.models import (CONSTRAINED_SPEED, STATE_FIELDS, WHEEL_VARIANTS,
-                            DriveInput, Environment, Variant,
+from nonholo.models import (CONSTRAINED_SPEED, INPUT_FIELDS, STATE_FIELDS,
+                            WHEEL_VARIANTS, DriveInput, Environment, Variant,
                             constraining_forces, constraint_residuals,
                             drivetrain_split, eom_rhs, lateral_acceleration,
                             pseudo_velocity_determinant,
@@ -94,6 +94,11 @@ class TestConstraintResiduals:
         for _ in range(1000):
             y, u, V = random_state_and_input(rng, variant)
             dy = eom_rhs(variant, y, u, params, V=V)
+            assert type(dy) is np.ndarray and dy.dtype == np.float64
+            # the state's container does not change a bit of the result
+            for same in (tuple(y), np.array(y)):
+                assert eom_rhs(variant, same, u, params,
+                               V=V).tobytes() == dy.tobytes()
             res = constraint_residuals(variant, y, dy, u, params, V=V)
             worst = max(worst, float(np.max(np.abs(res))))
         assert worst < 1e-12
@@ -212,6 +217,25 @@ class TestAlternateForms:
         with pytest.raises(ValueError, match="F_R"):
             eom_rhs(Variant.WHEEL_TORQUE, [0, 0, 0, 10, 0, 0],
                     DriveInput(gamma=0.1, F_R=5.0), params)
+        # every variant: each input it does not use, a state of the wrong
+        # length, and a missing constant speed
+        for variant in Variant:
+            y = [0.0, 0.0, 0.0] + [0.5] * (len(STATE_FIELDS[variant]) - 3)
+            u = DriveInput()
+            V = 10.0 if variant in CONSTRAINED_SPEED else None
+            for name in ("gamma", "gamma_dot", "gamma_ddot", "F_R", "F_F",
+                         "T_R", "T_F", "T_s"):
+                if name not in INPUT_FIELDS[variant]:
+                    with pytest.raises(ValueError, match=name):
+                        eom_rhs(variant, y, DriveInput(**{name: 1.0}),
+                                params, V=V)
+            for bad in (y[:-1], y + [0.0]):
+                with pytest.raises(ValueError, match="expects"):
+                    eom_rhs(variant, bad, u, params, V=V)
+            if V is not None:
+                for bad_V in (None, 0.0, -1.0):
+                    with pytest.raises(ValueError, match="V > 0"):
+                        eom_rhs(variant, y, u, params, V=bad_V)
 
 
 class TestConstrainingForces:
