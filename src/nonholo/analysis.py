@@ -295,15 +295,17 @@ def verify_equivalence(pair: str, params: VehicleParams,
     base0 = [sc.x0, sc.y0, sc.psi0, sc.sigma1_0]
     ref = _integrate_open_loop(Variant.SKATE_FORCE, base0, sc, params,
                                to_torque=False)
-    # the steering angle at each committed sample, evaluated once
-    gammas = [sc.gamma_fn(k * sc.dt)[0] for k in range(len(ref))]
 
     if pair == "skate_wheel":
         other = _integrate_open_loop(
             Variant.WHEEL_TORQUE, base0 + [0.0, 0.0], sc, params,
             to_torque=True)
-        mapped = other[:, :4]
-    elif pair == "alt_pseudo":
+        return EquivalenceReport(
+            pair, float(np.max(np.abs(other[:, :4] - ref))), tol)
+
+    # the steering angle at each committed sample, evaluated once
+    gammas = [sc.gamma_fn(k * sc.dt)[0] for k in range(len(ref))]
+    if pair == "alt_pseudo":
         alt0 = base0[:3] + [sc.sigma1_0 / math.cos(gammas[0])]
         other = _integrate_open_loop(
             Variant.SKATE_FORCE_ALT_PSEUDO, alt0, sc, params, to_torque=False)
