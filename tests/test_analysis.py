@@ -121,7 +121,6 @@ class TestRouthHurwitz:
             assert checked
             assert all(r[4] for r in checked)
 
-
     @pytest.mark.parametrize("kappa", CLI_KAPPAS)
     def test_grid_equals_scalar_reference(self, kappa):
         assert_grid_matches_scalar(np.linspace(-2.0, 0.5, 80),
