@@ -19,7 +19,7 @@ from .analysis import kinematic_stability, stability_grid
 from .config import dump_config, scenario_from_config
 from .control import WrapperSpec, wrapper, wrapper_deriv
 from .errors import ConfigError, GuardTripped, NonClosure, NonholoError
-from .models import (Variant, DriveInput, constraining_forces,
+from .models import (STATE_FIELDS, Variant, DriveInput, constraining_forces,
                      constraint_residuals, eom_rhs)
 from .params import VehicleParams
 from .path import CurvatureProfile, PathTable, build_path, write_csv
@@ -114,6 +114,9 @@ def cmd_simulate(args) -> int:
     except GuardTripped as exc:
         print(f"guard tripped: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     trace.to_csv(out / "trace.csv")
     _print_summary(scenario, trace)
     if args.plot is None or args.plot:
@@ -154,7 +157,6 @@ def _random_audit(args, out: Path) -> int:
 
 
 def _random_state(rng, variant, params):
-    from .models import CONSTRAINED_SPEED, STATE_FIELDS, WHEEL_VARIANTS
     fields = STATE_FIELDS[variant]
     y = []
     for name in fields:
@@ -172,25 +174,20 @@ def _random_state(rng, variant, params):
     kwargs = {}
     if "gamma" not in fields:
         kwargs["gamma"] = gamma
-        if variant not in CONSTRAINED_SPEED:
+        if not variant.constrained_speed:
             kwargs["gamma_dot"] = rng.uniform(-0.5, 0.5)
             kwargs["gamma_ddot"] = rng.uniform(-1.0, 1.0)
-    if variant in WHEEL_VARIANTS:
-        if variant not in CONSTRAINED_SPEED:
+    if variant.wheel:
+        if not variant.constrained_speed:
             kwargs["T_R"] = rng.uniform(-500, 500)
             kwargs["T_F"] = rng.uniform(-500, 500)
-    elif variant not in CONSTRAINED_SPEED:
+    elif not variant.constrained_speed:
         kwargs["F_R"] = rng.uniform(-2000, 2000)
         kwargs["F_F"] = rng.uniform(-2000, 2000)
-    if "sigma2" in fields and "T_s" in _allowed(variant):
+    if "sigma2" in fields and "T_s" not in variant.forbidden:
         kwargs["T_s"] = rng.uniform(-1.0, 1.0)
-    V = rng.uniform(5.0, 30.0) if variant in CONSTRAINED_SPEED else None
+    V = rng.uniform(5.0, 30.0) if variant.constrained_speed else None
     return y, DriveInput(**kwargs), V
-
-
-def _allowed(variant):
-    from .models import INPUT_FIELDS
-    return INPUT_FIELDS[variant]
 
 
 def cmd_stability(args) -> int:

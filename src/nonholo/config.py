@@ -108,10 +108,13 @@ def _profile_from(block: dict[str, str], source: str) -> CurvatureProfile:
         raise ConfigError(f"{source}: circle path needs key 'radius'")
     if kind == "periodic":
         try:
-            N = int(vals["N"])
+            N = vals["N"]
             s_T = vals["s_T"]
         except KeyError as exc:
             raise ConfigError(f"{source}: periodic path needs key {exc}") from exc
+        if N != int(N):
+            raise ConfigError(f"{source}: key 'N': {N:g} is not an integer")
+        N = int(N)
         if "kappa_max" in vals:
             prof = CurvatureProfile(kind="periodic", kappa_max=vals["kappa_max"],
                                     s_T=s_T, N=N)

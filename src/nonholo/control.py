@@ -21,6 +21,7 @@ from .params import ControlGains, VehicleParams
 from .path import TUBE_EPS, CurvatureProfile
 
 LAWS = ("linear", "nonlinear", "wrapped")
+WRAPPER_N_MAX = 1000  # each wrapper call loops about n/2 times
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,10 @@ class WrapperSpec:
     def __post_init__(self):
         if self.g_sat <= 0.0:
             raise ValueError("g_sat must be positive")
-        if self.n != math.inf and (self.n < 2 or int(self.n) != self.n):
-            raise ValueError("n must be an integer >= 2 or inf")
+        if self.n != math.inf and not (2 <= self.n <= WRAPPER_N_MAX
+                                       and int(self.n) == self.n):
+            raise ValueError(f"n must be an integer in [2, {WRAPPER_N_MAX}] "
+                             f"or inf")
 
 
 def _bound_constant(n: int, g_sat: float) -> float:

@@ -85,6 +85,7 @@ class CurvatureProfile:
 
     @classmethod
     def circle(cls, radius: float) -> "CurvatureProfile":
+        """A negative radius gives a clockwise circle."""
         if radius == 0.0:
             raise ValueError("circle needs a nonzero radius")
         return cls(kind="circle", kappa_const=1.0 / radius)
@@ -122,7 +123,7 @@ class CurvatureProfile:
         if self.kind == "periodic":
             return self.N * self.s_T
         if self.kind == "circle":
-            return 2.0 * math.pi / self.kappa_const
+            return 2.0 * math.pi / abs(self.kappa_const)
         return None
 
 

@@ -14,30 +14,32 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import SteeringSingularity, TubeSingularity
-from .models import Variant, DriveInput
+from .errors import TubeSingularity
+from .models import Variant, DriveInput, eom_floats
 from .params import VehicleParams
 from .path import TUBE_EPS, PathTable
 
-_SKATE_REL = {
-    Variant.SKATE_KINEMATIC: 3,
-    Variant.SKATE_FORCE: 4,
-    Variant.SKATE_TORQUE_STEER: 5,
-    Variant.SKATE_FORCE_TORQUE_STEER: 6,
-}
-
-REL_FIELDS: dict[Variant, tuple[str, ...]] = {
-    Variant.SKATE_KINEMATIC: ("s", "e", "theta"),
-    Variant.SKATE_FORCE: ("s", "e", "theta", "sigma1"),
-    Variant.SKATE_TORQUE_STEER: ("s", "e", "theta", "gamma", "sigma2"),
-    Variant.SKATE_FORCE_TORQUE_STEER:
-        ("s", "e", "theta", "gamma", "sigma1", "sigma2"),
-}
+_SKATE = (Variant.SKATE_KINEMATIC, Variant.SKATE_FORCE,
+          Variant.SKATE_TORQUE_STEER, Variant.SKATE_FORCE_TORQUE_STEER)
 
 
 class TrackPoint(Enum):
     REAR_AXLE = "R"
     CENTER_OF_MASS = "G"
+
+
+def rates(kappa: float, e: float, theta: float, speed: float,
+          tan_gamma: float, l: float) -> tuple[float, float, float]:
+    """Rear-axle path-frame rates (s', e', theta') shared by the skate models.
+
+    Raises :class:`TubeSingularity` where 1 - kappa*e vanishes, i.e. with
+    the rear axle at the path's centre of curvature.
+    """
+    one = 1.0 - kappa * e
+    if abs(one) < TUBE_EPS:
+        raise TubeSingularity(f"1 - kappa*e = {one:.3e}")
+    sd = speed * math.cos(theta) / one
+    return sd, speed * math.sin(theta), speed * tan_gamma / l - kappa * sd
 
 
 def pathframe_rhs(variant: Variant, point: TrackPoint, state,
@@ -50,78 +52,27 @@ def pathframe_rhs(variant: Variant, point: TrackPoint, state,
     longitudinal form sigma1' = a_des (the driving force that realizes it is
     computed by the control module).
     """
-    if variant not in _SKATE_REL:
+    if variant not in _SKATE:
         raise ValueError(f"path-frame form implemented for skate variants only, "
                          f"got {variant.value}")
-    y = np.asarray(state, dtype=float)
-    if len(y) != _SKATE_REL[variant]:
-        raise ValueError(f"{variant.value} path-frame state has "
-                         f"{_SKATE_REL[variant]} entries, got {len(y)}")
-    u.validate_for(variant)
-    s, e, theta = y[0], y[1], y[2]
+    y = np.asarray(state, dtype=float).tolist()
+    # the speed and steering rows do not depend on x_G, y_G or psi; this call
+    # also checks the inputs, the state length, V and the steering guard
+    rows = eom_floats(variant, [0.0, 0.0, *y[2:]], u, params, V)[3:]
+    if a_des is not None and variant is Variant.SKATE_FORCE:
+        rows = [a_des]
+    s, e, theta = y[:3]
     kappa = path.kappa_at(s)
+    t = math.tan(y[3] if variant.torque_steer else u.gamma)
+    sp = V if variant.constrained_speed else y[4 if variant.torque_steer else 3]
+    l = params.l
+    if point is TrackPoint.REAR_AXLE:
+        return np.array([*rates(kappa, e, theta, sp, t, l), *rows])
+
     one = 1.0 - kappa * e
     if abs(one) < TUBE_EPS:
         raise TubeSingularity(f"1 - kappa*e = {one:.3e} at s = {s:.3f}")
-
-    gamma = y[3] if variant.torque_steer else u.gamma
-    if abs(gamma) >= 0.5 * math.pi - 1e-9:
-        raise SteeringSingularity(f"|gamma| = {abs(gamma):.9f} rad")
-    t = math.tan(gamma)
-    cg = math.cos(gamma)
-    l, d = params.l, params.d
-
-    if variant is Variant.SKATE_KINEMATIC:
-        sp = _require_V(variant, V)
-    elif variant is Variant.SKATE_FORCE:
-        sp = y[3]
-    elif variant is Variant.SKATE_TORQUE_STEER:
-        sp = _require_V(variant, V)
-    else:
-        sp = y[4]
-
-    out = np.empty(len(y))
-    if point is TrackPoint.REAR_AXLE:
-        out[0] = sp * math.cos(theta) / one
-        out[1] = sp * math.sin(theta)
-        out[2] = sp * t / l - kappa * out[0]
-    else:
-        swing = math.cos(theta) - d / l * t * math.sin(theta)
-        out[0] = sp * swing / one
-        out[1] = sp * (math.sin(theta) + d / l * t * math.cos(theta))
-        out[2] = sp * t / l - kappa * out[0]
-
-    if variant is Variant.SKATE_KINEMATIC:
-        return out
-
-    m1, m2, J_F = params.m1, params.m2, params.J_F
-    if variant is Variant.SKATE_FORCE:
-        if a_des is not None:
-            out[3] = a_des
-        else:
-            Pi1 = u.F_R + u.F_F / cg
-            out[3] = (Pi1 - m2 * t / cg ** 2 * sp * u.gamma_dot
-                      - J_F / l * u.gamma_ddot * t) / (m1 + m2 * t * t)
-        return out
-
-    if variant is Variant.SKATE_TORQUE_STEER:
-        sigma2 = y[4]
-        out[3] = sigma2
-        out[4] = u.T_s / J_F - sp * sigma2 / (l * cg * cg)
-        return out
-
-    sigma1, sigma2 = y[4], y[5]
-    Pi1 = u.F_R + u.F_F / cg
-    m2r = m2 - J_F / params.l ** 2
-    denom = m1 + m2r * t * t
-    out[3] = sigma2
-    out[4] = (Pi1 - m2r * t / cg ** 2 * sigma1 * sigma2 - u.T_s / l * t) / denom
-    out[5] = (-Pi1 * t / l - m1 / (l * cg * cg) * sigma1 * sigma2
-              + u.T_s / J_F * (m1 + m2 * t * t)) / denom
-    return out
-
-
-def _require_V(variant: Variant, V: float | None) -> float:
-    if V is None or V <= 0.0:
-        raise ValueError(f"{variant.value} needs constant speed V > 0")
-    return V
+    d = params.d
+    sd = sp * (math.cos(theta) - d / l * t * math.sin(theta)) / one
+    ed = sp * (math.sin(theta) + d / l * t * math.cos(theta))
+    return np.array([sd, ed, sp * t / l - kappa * sd, *rows])

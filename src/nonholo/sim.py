@@ -18,11 +18,11 @@ from .control import (LAWS, WrapperSpec, driving_force, feedback_law,
                       longitudinal_accel, preview_max_curvature,
                       steer_derivative_chain, steering_saturation,
                       steering_torque, target_speed)
-from .errors import GuardTripped, ModelGuardError, TubeSingularity
+from .errors import GuardTripped, ModelGuardError
 from .models import Variant, constraining_forces
 from .params import ControlGains, VehicleParams
-from .path import (TUBE_EPS, CurvatureProfile, PathTable, build_path,
-                   write_csv)
+from .path import CurvatureProfile, PathTable, build_path, write_csv
+from .pathframe import rates
 
 # the model each controller mode's closed loop integrates
 MODE_MODELS = {
@@ -206,13 +206,6 @@ def integrate(rhs, y0, dt: float, duration: float, t0: float = 0.0,
 
 # -- closed-loop right-hand sides -------------------------------------------
 
-def _tube_guard(kap: float, e: float) -> float:
-    one = 1.0 - kap * e
-    if abs(one) < TUBE_EPS:
-        raise TubeSingularity(f"1 - kappa*e = {one:.3e}")
-    return one
-
-
 def _make_loop(sc: Scenario):
     """Build (y0, loop, columns) for the scenario's controller mode.
 
@@ -241,8 +234,7 @@ def _make_loop(sc: Scenario):
                 gff = math.atan(kap * l)
                 gfb = fb(e, th, gsat)
             gamma = gff + gfb
-            sd = V * math.cos(th) / _tube_guard(kap, e)
-            dy = (sd, V * math.sin(th), V * math.tan(gamma) / l - kap * sd)
+            dy = rates(kap, e, th, V, math.tan(gamma), l)
             if not diag:
                 return dy
             return dy, (gamma, gamma, gff, gfb, V,
@@ -262,11 +254,9 @@ def _make_loop(sc: Scenario):
             gfb = fb(e, th, gsat)
             gdes = gff + gfb
             T_s = steering_torque(g, gdes, gains)
-            kap = prof.kappa(s)
+            sd, ed, thd = rates(prof.kappa(s), e, th, V, math.tan(g), l)
             cg = math.cos(g)
-            sd = V * math.cos(th) / _tube_guard(kap, e)
-            dy = (sd, V * math.sin(th), V * math.tan(g) / l - kap * sd,
-                  s2, T_s / J_F - V * s2 / (l * cg * cg))
+            dy = (sd, ed, thd, s2, T_s / J_F - V * s2 / (l * cg * cg))
             if not diag:
                 return dy
             return dy, (g, s2, gdes, gff, gfb, T_s, V,
@@ -312,12 +302,19 @@ def _make_loop(sc: Scenario):
 def _build_table(sc: Scenario) -> PathTable:
     length = sc.path_length
     if length is None and sc.profile.kind == "straight":
-        length = sc.V * sc.duration * 1.1 + 100.0
+        # the speed schedule may run up to v_max, above the initial speed
+        speed = max(sc.sigma1_0, sc.gains.v_max) \
+            if sc.mode == "steer_longitudinal" else sc.V
+        length = speed * sc.duration * 1.1 + 100.0
     return build_path(sc.profile, step=sc.path_step, length=length)
 
 
 def run_scenario(sc: Scenario, table: PathTable | None = None) -> SimTrace:
-    """Integrate the scenario and assemble the full diagnostic trace."""
+    """Integrate the scenario and assemble the full diagnostic trace.
+
+    Raises ValueError, naming the path key ``length``, when the run's arc
+    length leaves an open table, where the pose could only be clamped.
+    """
     if table is None:
         table = _build_table(sc)
     y0, loop, columns = _make_loop(sc)
@@ -325,6 +322,11 @@ def run_scenario(sc: Scenario, table: PathTable | None = None) -> SimTrace:
     diag = {name: rows[:, j] for j, name in enumerate(columns)}
 
     s_arr, e_arr, th_arr = ys[:, 0], ys[:, 1], ys[:, 2]
+    lo, hi = float(np.min(s_arr)), float(np.max(s_arr))
+    if not table.closed and (lo < table.s[0] or hi > table.s[-1]):
+        raise ValueError(
+            f"key 'length': the run reaches s = {lo:g}..{hi:g} m, beyond the "
+            f"open path table's {table.s[0]:g}..{table.s[-1]:g} m")
     xc, yc, psic = table.pose_at_many(s_arr)
     psi = psic + th_arr
     x_R = xc - e_arr * np.sin(psic)

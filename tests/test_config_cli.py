@@ -41,7 +41,7 @@ _WORDS = {
     "kind": ["straight", "circle", "periodic", "spiral"],
     "mode": [*MODES, "bogus"],
     "law": [*LAWS, "bogus"],
-    "wrapper_n": ["2", "3", "inf", "1", "-inf", "nan", "2.5", "x"],
+    "wrapper_n": ["2", "3", "inf", "1", "1001", "-inf", "nan", "2.5", "x"],
     "model": [v.value for v in Variant] + ["bogus"],
     "plot": ["true", "false", "maybe"],
     "dir": ["results"],
@@ -174,19 +174,26 @@ class TestCli:
          "    step = 60\n}\n", "step"),
         ("controller {\n    law = bogus\n}\n", "law"),
         ("controller {\n    wrapper_n = 1\n}\n", "wrapper_n"),
+        ("controller {\n    wrapper_n = 1001\n}\n", "wrapper_n"),
+        ("path {\n    kind = periodic\n    N = 2.5\n    s_T = 250\n}\n", "N"),
         ("controller {\n    mode = steer_longitudinal\n    law = linear\n}\n",
          "law"),
         ("controller {\n    mode = steer_longitudinal\n    t_L = 0.3\n}\n",
          "t_L"),
         ("sim {\n    duration = 1\n    dt = 0.3\n}\n", "duration"),
+        # 30 s at 20 m/s runs 600 m along a 300 m open piece of the path
+        ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
+         "    length = 300\n}\nsim {\n    dt = 0.005\n}\n", "length"),
     ])
     def test_simulate_bad_config_exit_2(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
-        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert f"'{key}'" in err and "Traceback" not in err
+        assert not any(out.iterdir())
 
     def test_simulate_guard_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "guard.cfg"
@@ -264,6 +271,7 @@ class TestCli:
         (["--param", "wrapper_n", "--values", "2,1"], "wrapper_n"),
         (["--param", "N", "--values", "1"], "N"),
         (["--param", "s_T", "--values", "-5"], "s_T"),
+        (["--param", "wrapper_n", "--values", "2,1001"], "wrapper_n"),
     ])
     def test_sweep_bad_scenario_exit_2(self, tmp_path, capsys, argv, key):
         rc = main(["sweep", *argv, "--out", str(tmp_path)])

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nonholo.control import steering_saturation
-from nonholo.errors import TubeSingularity
+from nonholo.errors import SteeringSingularity, TubeSingularity
 from nonholo.models import DriveInput, Variant, eom_rhs
 from nonholo.path import CurvatureProfile, build_path
 from nonholo.pathframe import TrackPoint, pathframe_rhs
@@ -47,9 +48,9 @@ class TestPointwiseForms:
                                 u, n4_table, params)
             absd = eom_rhs(Variant.SKATE_FORCE_TORQUE_STEER,
                            [0.0, 0.0, 0.3, g, s1, s2], u, params)
-            assert rel[3] == pytest.approx(absd[3], rel=1e-14)
-            assert rel[4] == pytest.approx(absd[4], rel=1e-13)
-            assert rel[5] == pytest.approx(absd[5], rel=1e-13)
+            assert rel[3] == absd[3]
+            assert rel[4] == absd[4]
+            assert rel[5] == absd[5]
 
     def test_feedback_linearized_form(self, n4_table, params):
         dy = pathframe_rhs(Variant.SKATE_FORCE, TrackPoint.REAR_AXLE,
@@ -64,6 +65,68 @@ class TestPointwiseForms:
             pathframe_rhs(Variant.SKATE_KINEMATIC, TrackPoint.REAR_AXLE,
                           [0.0, 100.0, 0.0], DriveInput(gamma=0.0),
                           table, params, V=10.0)
+
+
+# a valid (state, input) per skate variant; V = 20 is passed to every call
+_VALID = {
+    Variant.SKATE_KINEMATIC: ([10.0, 0.5, 0.1], DriveInput(gamma=0.1)),
+    Variant.SKATE_FORCE:
+        ([10.0, 0.5, 0.1, 20.0], DriveInput(gamma=0.1, F_R=300.0)),
+    Variant.SKATE_TORQUE_STEER:
+        ([10.0, 0.5, 0.1, 0.1, 0.0], DriveInput(T_s=0.5)),
+    Variant.SKATE_FORCE_TORQUE_STEER:
+        ([10.0, 0.5, 0.1, 0.1, 20.0, 0.0], DriveInput(T_s=0.5, F_R=300.0)),
+}
+
+
+class TestRejections:
+    @pytest.mark.parametrize("variant", [v for v in Variant if v not in _VALID])
+    def test_non_skate_variant(self, variant, n4_table, params):
+        with pytest.raises(ValueError, match="skate variants only"):
+            pathframe_rhs(variant, TrackPoint.REAR_AXLE,
+                          [10.0, 0.5, 0.1] + [0.0] * (variant.n_states - 3),
+                          DriveInput(), n4_table, params, V=20.0)
+
+    @pytest.mark.parametrize("point", list(TrackPoint))
+    @pytest.mark.parametrize("variant", list(_VALID))
+    def test_state_length(self, variant, point, n4_table, params):
+        y, u = _VALID[variant]
+        assert len(pathframe_rhs(variant, point, y, u, n4_table, params,
+                                 V=20.0)) == len(y)
+        for bad in (y[:-1], y + [0.0]):
+            with pytest.raises(ValueError, match=f"got {len(bad)}"):
+                pathframe_rhs(variant, point, bad, u, n4_table, params, V=20.0)
+
+    @pytest.mark.parametrize("variant", list(_VALID))
+    def test_forbidden_input(self, variant, n4_table, params):
+        y, u = _VALID[variant]
+        for name in variant.forbidden:
+            with pytest.raises(ValueError, match=f"input {name} "):
+                pathframe_rhs(variant, TrackPoint.REAR_AXLE, y,
+                              replace(u, **{name: 1.0}), n4_table, params,
+                              V=20.0)
+
+    @pytest.mark.parametrize("V", [None, 0.0, -1.0])
+    @pytest.mark.parametrize("variant", [Variant.SKATE_KINEMATIC,
+                                         Variant.SKATE_TORQUE_STEER])
+    def test_constrained_speed_needs_V(self, variant, V, n4_table, params):
+        y, u = _VALID[variant]
+        with pytest.raises(ValueError, match="V > 0"):
+            pathframe_rhs(variant, TrackPoint.REAR_AXLE, y, u, n4_table,
+                          params, V=V)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("variant", list(_VALID))
+    def test_steering_singularity(self, variant, sign, n4_table, params):
+        y, u = _VALID[variant]
+        gamma = sign * 0.5 * math.pi
+        if variant.torque_steer:
+            y = y[:3] + [gamma] + y[4:]
+        else:
+            u = replace(u, gamma=gamma)
+        for point in TrackPoint:
+            with pytest.raises(SteeringSingularity):
+                pathframe_rhs(variant, point, y, u, n4_table, params, V=20.0)
 
 
 class TestOnPathInvariance:

@@ -147,6 +147,31 @@ class TestScenarios:
         assert s["max_abs_e"] == 10.0
         assert s["peak_a_lat"] < 4.0
 
+    def test_straight_table_covers_longitudinal_run(self):
+        # the speed schedule drives sigma1 from 20 m/s up to v_max = 30 m/s,
+        # so a table sized from V alone (760 m) would pin the pose
+        sc = Scenario(name="straight", profile=CurvatureProfile.straight(),
+                      mode="steer_longitudinal", duration=30.0, dt=0.005,
+                      e0=-2.0)
+        trace = run_scenario(sc)
+        assert trace["s_C"][-1] > 20.0 * 30.0 * 1.1 + 100.0
+        th, d = trace["theta_C"], sc.params.d
+        np.testing.assert_allclose(trace["x_G"], trace["s_C"] + d * np.cos(th),
+                                   rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(trace["y_G"], trace["e_C"] + d * np.sin(th),
+                                   rtol=0.0, atol=1e-9)
+
+    def test_negative_radius_mirrors_fig14(self):
+        sc = named_scenario("fig14", dt=0.005)
+        mirror = replace(sc, profile=CurvatureProfile.circle(-200.0),
+                         e0=-sc.e0, theta0=-sc.theta0)
+        a, b = run_scenario(sc), run_scenario(mirror)
+        for col, sign in (("x_G", 1.0), ("y_G", -1.0), ("psi", -1.0),
+                          ("s_C", 1.0), ("e_C", -1.0), ("theta_C", -1.0),
+                          ("gamma", -1.0), ("a_lat", -1.0)):
+            np.testing.assert_allclose(b[col], sign * a[col], rtol=0.0,
+                                       atol=1e-12, err_msg=col)
+
     def test_tube_validation_at_start(self, params, gains):
         with pytest.raises(ValueError, match="tube"):
             Scenario(name="bad", profile=CurvatureProfile.circle(50.0),
