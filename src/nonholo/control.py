@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import SteeringSingularity, TubeSingularity
+from .errors import SteeringSingularity
 from .params import ControlGains, VehicleParams
-from .path import TUBE_EPS, CurvatureProfile
+from .path import CurvatureProfile
+from .pathframe import rates
 
 LAWS = ("linear", "nonlinear", "wrapped")
 WRAPPER_N_MAX = 1000  # each wrapper call loops about n/2 times
@@ -189,8 +191,7 @@ def longitudinal_accel(sigma1: float, v_des: float,
     return _saturate(gains.k_a * (sigma1 - v_des), gains.a_long_max)
 
 
-@dataclass(frozen=True)
-class DrivingForce:
+class DrivingForce(NamedTuple):
     """Feedback-linearizing rear driving force with its diagnostic terms."""
 
     F_R: float
@@ -202,7 +203,7 @@ class DrivingForce:
 def driving_force(a_des: float, gamma: float, gamma_dot: float,
                   gamma_ddot: float, sigma1: float,
                   params: VehicleParams) -> DrivingForce:
-    """Rear-wheel-drive force for which the closed loop obeys sigma1' = a_des.
+    """Rear-wheel-drive force for which models.speed_rate gives a_des.
 
     F_R = m1*((1 + iota)*a_des + a1 + a2); iota and a1, a2 quantify how far
     the exact inverse is from the naive F_R = m1*a_des.
@@ -218,8 +219,7 @@ def driving_force(a_des: float, gamma: float, gamma_dot: float,
     return DrivingForce(m1 * ((1.0 + iota) * a_des + a1 + a2), iota, a1, a2)
 
 
-@dataclass(frozen=True)
-class SteerCommand:
+class SteerCommand(NamedTuple):
     """Steering command, its split and derivatives, and (s', e', theta')."""
 
     gamma_des: float
@@ -248,19 +248,12 @@ def steer_derivative_chain(s: float, e: float, theta: float, speed: float,
     kp = profile.kappa_prime(s)
     kpp = profile.kappa_second(s)
 
-    one = 1.0 - kappa * e
-    if abs(one) < TUBE_EPS:
-        raise TubeSingularity(f"1 - kappa*e = {one:.3e} at s = {s:.3f}")
-
     gamma_ff = math.atan(kappa * l)
     fb1 = k1 * (theta + math.atan(k2 * e))
     gamma_fb = _saturate(fb1, gamma_sat)
     gamma = gamma_ff + gamma_fb
-
-    ct, st = math.cos(theta), math.sin(theta)
-    sdot = speed * ct / one
-    edot = speed * st
-    thetadot = speed * math.tan(gamma) / l - kappa * sdot
+    tg = math.tan(gamma)
+    sdot, edot, thetadot = rates(kappa, e, theta, speed, tg, l)
 
     kdot = kp * sdot
     den_e = 1.0 + (k2 * e) ** 2
@@ -270,11 +263,13 @@ def steer_derivative_chain(s: float, e: float, theta: float, speed: float,
     den_fb = 1.0 + (c * fb1) ** 2
     gamma_dot = l * kdot / den_ff + fb1_dot / den_fb
 
+    one = 1.0 - kappa * e
+    ct, st = math.cos(theta), math.sin(theta)
     cg = math.cos(gamma)
     sddot = (speed_dot * ct - speed * thetadot * st) / one \
         + speed * ct * (edot * kappa + e * kdot) / one ** 2
     eddot = speed_dot * st + speed * thetadot * ct
-    thetaddot = (speed_dot * math.tan(gamma) / l
+    thetaddot = (speed_dot * tg / l
                  + speed * gamma_dot / (l * cg * cg)
                  - speed * kappa * ct * (edot * kappa + e * kdot) / one ** 2
                  - (speed_dot * kappa * ct + speed * kdot * ct

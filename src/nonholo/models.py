@@ -149,6 +149,21 @@ def resistance_pseudo_force(F_R: float, F_F: float, gamma: float,
             - env.rho * (env.v_w + sigma1) ** 2)
 
 
+def speed_rate(Pi1: float, sigma1: float, tan_gamma: float, cos_gamma: float,
+               gamma_dot: float, gamma_ddot: float,
+               params: VehicleParams) -> float:
+    """sigma1' of the force/torque-driven models with assigned steering."""
+    m1, m2, t = params.m1, params.m2, tan_gamma
+    return (Pi1 - m2 * t / (cos_gamma * cos_gamma) * sigma1 * gamma_dot
+            - params.J_F / params.l * gamma_ddot * t) / (m1 + m2 * t * t)
+
+
+def steer_rate(T_s: float, V: float, sigma2: float, cos_gamma: float,
+               params: VehicleParams) -> float:
+    """sigma2' of the constant-speed models driven by steering torque T_s."""
+    return T_s / params.J_F - V * sigma2 / (params.l * cos_gamma * cos_gamma)
+
+
 def eom_rhs(variant: Variant, state, u: DriveInput, params: VehicleParams,
             V: float | None = None, env: Environment | None = None) -> np.ndarray:
     """Right-hand side of the chosen model's equations of motion.
@@ -232,37 +247,28 @@ def eom_floats(variant: Variant, y, u: DriveInput, params: VehicleParams,
     if variant.constrained_speed:
         if torque_steer:
             sigma2 = y[4]
-            out += [sigma2, u.T_s / J_F - V * sigma2 / (l * cg * cg)]
+            out += [sigma2, steer_rate(u.T_s, V, sigma2, cg, params)]
         return out + spin
 
+    # force/torque driven: sigma1 is sp for both kinds of steering
+    Pi1 = (u.T_R + u.T_F / cg) / params.r if wheel else u.F_R + u.F_F / cg
+    if env is not None:
+        F_R, F_F = (u.T_R / params.r, u.T_F / params.r) if wheel \
+            else (u.F_R, u.F_F)
+        Pi1 = resistance_pseudo_force(F_R, F_F, g_, sp, env, params)
     if not torque_steer:
-        Pi1 = (u.T_R + u.T_F / cg) / params.r if wheel \
-            else u.F_R + u.F_F / cg
-        if env is not None:
-            F_R = u.T_R / params.r if wheel else u.F_R
-            F_F = u.T_F / params.r if wheel else u.F_F
-            Pi1 = resistance_pseudo_force(F_R, F_F, g_, sp, env, params)
-        out.append((Pi1 - m2 * t / cg ** 2 * sp * u.gamma_dot
-                    - J_F / l * u.gamma_ddot * t) / (m1 + m2 * t * t))
+        out.append(speed_rate(Pi1, sp, t, cg, u.gamma_dot, u.gamma_ddot,
+                              params))
         return out + spin
 
     # force/torque driven with steering torque
-    sigma1, sigma2 = y[4], y[5]
-    if wheel:
-        Pi1 = (u.T_R + u.T_F / cg) / params.r
-        if env is not None:
-            Pi1 = resistance_pseudo_force(u.T_R / params.r, u.T_F / params.r,
-                                          g_, sigma1, env, params)
-    else:
-        Pi1 = u.F_R + u.F_F / cg
-        if env is not None:
-            Pi1 = resistance_pseudo_force(u.F_R, u.F_F, g_, sigma1, env, params)
+    sigma2 = y[5]
     m2r = m2 - J_F / l ** 2
     denom = m1 + m2r * t * t
     out += [sigma2,
-            (Pi1 - m2r * t / cg ** 2 * sigma1 * sigma2
+            (Pi1 - m2r * t / cg ** 2 * sp * sigma2
              - u.T_s / l * t) / denom,
-            (-Pi1 * t / l - m1 / (l * cg * cg) * sigma1 * sigma2
+            (-Pi1 * t / l - m1 / (l * cg * cg) * sp * sigma2
              + u.T_s / J_F * (m1 + m2 * t * t)) / denom]
     return out + spin
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 GRAVITY = 9.81
 
@@ -43,22 +44,22 @@ class VehicleParams:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
-    # Combined masses are recomputed on every access so they can never go
-    # stale after a `replace`.
-    @property
+    # Combined masses are computed once per instance. A frozen instance
+    # cannot change and `replace` builds a new one, so they cannot go stale.
+    @cached_property
     def m1(self) -> float:
         return self.m + self.m_R + self.m_F
 
-    @property
+    @cached_property
     def m2(self) -> float:
         return (self.J_G + self.m * self.d ** 2 + self.J_R + self.J_F
                 + self.m_F * self.l ** 2) / self.l ** 2
 
-    @property
+    @cached_property
     def m3(self) -> float:
         return self.m_R - (self.l - self.d) / self.d * self.m_F
 
-    @property
+    @cached_property
     def m4(self) -> float:
         return self.m_F + self.d / self.l * self.m
 

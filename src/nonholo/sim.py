@@ -19,7 +19,7 @@ from .control import (LAWS, WrapperSpec, driving_force, feedback_law,
                       steer_derivative_chain, steering_saturation,
                       steering_torque, target_speed)
 from .errors import GuardTripped, ModelGuardError
-from .models import Variant, constraining_forces
+from .models import Variant, constraining_forces, speed_rate, steer_rate
 from .params import ControlGains, VehicleParams
 from .path import CurvatureProfile, PathTable, build_path, write_csv
 from .pathframe import rates
@@ -83,8 +83,8 @@ class Scenario:
         if longitudinal and (self.law, self.wrapper_n) != ("wrapped", 2):
             raise ValueError("key 'law': steer_longitudinal needs the wrapped "
                              "law with wrapper_n = 2")
-        if longitudinal and self.gains.t_L != 0.0:
-            raise ValueError("key 't_L': steer_longitudinal needs t_L = 0; "
+        if self.mode != "steer_torque" and self.gains.t_L != 0.0:
+            raise ValueError(f"key 't_L': {self.mode} needs t_L = 0; "
                              "look-ahead applies to steer_torque")
         kappa0 = self.profile.kappa(self.s0)
         if abs(kappa0 * self.e0) >= 1.0:
@@ -216,7 +216,6 @@ def _make_loop(sc: Scenario):
     prof = sc.profile
     params, gains = sc.params, sc.gains
     l = params.l
-    m1, m2, J_F = params.m1, params.m2, params.J_F
     fb = feedback_law(gains, sc.law, sc.wrapper_n)
 
     if sc.mode in ("none", "steer_only"):
@@ -255,8 +254,8 @@ def _make_loop(sc: Scenario):
             gdes = gff + gfb
             T_s = steering_torque(g, gdes, gains)
             sd, ed, thd = rates(prof.kappa(s), e, th, V, math.tan(g), l)
-            cg = math.cos(g)
-            dy = (sd, ed, thd, s2, T_s / J_F - V * s2 / (l * cg * cg))
+            dy = (sd, ed, thd, s2,
+                  steer_rate(T_s, V, s2, math.cos(g), params))
             if not diag:
                 return dy
             return dy, (g, s2, gdes, gff, gfb, T_s, V,
@@ -278,14 +277,11 @@ def _make_loop(sc: Scenario):
         a_des = longitudinal_accel(s1, v_des, gains)
         cmd = steer_derivative_chain(s, e, th, s1, a_des, prof, gains,
                                      gsat, params)
-        F = driving_force(a_des, cmd.gamma_des, cmd.gamma_dot,
-                          cmd.gamma_ddot, s1, params)
         g = cmd.gamma_des
+        F = driving_force(a_des, g, cmd.gamma_dot, cmd.gamma_ddot, s1, params)
         tg = math.tan(g)
-        cg = math.cos(g)
-        s1d = (F.F_R - m2 * tg / (cg * cg) * s1 * cmd.gamma_dot
-               - J_F / l * cmd.gamma_ddot * tg) / (m1 + m2 * tg * tg)
-        dy = (*cmd.rates, s1d)
+        dy = (*cmd.rates, speed_rate(F.F_R, s1, tg, math.cos(g), cmd.gamma_dot,
+                                     cmd.gamma_ddot, params))
         if not diag:
             return dy
         forces = constraining_forces(s1, g, cmd.gamma_dot, cmd.gamma_ddot,
@@ -305,15 +301,15 @@ def _build_table(sc: Scenario) -> PathTable:
         # the speed schedule may run up to v_max, above the initial speed
         speed = max(sc.sigma1_0, sc.gains.v_max) \
             if sc.mode == "steer_longitudinal" else sc.V
-        length = speed * sc.duration * 1.1 + 100.0
+        length = max(sc.s0, 0.0) + speed * sc.duration * 1.1 + 100.0
     return build_path(sc.profile, step=sc.path_step, length=length)
 
 
 def run_scenario(sc: Scenario, table: PathTable | None = None) -> SimTrace:
     """Integrate the scenario and assemble the full diagnostic trace.
 
-    Raises ValueError, naming the path key ``length``, when the run's arc
-    length leaves an open table, where the pose could only be clamped.
+    Raises ValueError when s leaves an open table, where the pose could only
+    be clamped, naming ``s0`` below its start and ``length`` past its end.
     """
     if table is None:
         table = _build_table(sc)
@@ -324,8 +320,9 @@ def run_scenario(sc: Scenario, table: PathTable | None = None) -> SimTrace:
     s_arr, e_arr, th_arr = ys[:, 0], ys[:, 1], ys[:, 2]
     lo, hi = float(np.min(s_arr)), float(np.max(s_arr))
     if not table.closed and (lo < table.s[0] or hi > table.s[-1]):
+        key = "s0" if lo < table.s[0] else "length"
         raise ValueError(
-            f"key 'length': the run reaches s = {lo:g}..{hi:g} m, beyond the "
+            f"key '{key}': the run reaches s = {lo:g}..{hi:g} m, beyond the "
             f"open path table's {table.s[0]:g}..{table.s[-1]:g} m")
     xc, yc, psic = table.pose_at_many(s_arr)
     psi = psic + th_arr

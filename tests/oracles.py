@@ -2,14 +2,16 @@
 
 These deliberately take different routes than the library code: Lagrange
 multipliers in their raw published form, Newtonian contact forces evaluated
-from accelerations, determinants from explicitly assembled matrices, and
-wrapper values from adaptive quadrature of the defining derivative.
+from accelerations, determinants from explicitly assembled matrices, wrapper
+values from adaptive quadrature of the defining derivative, and steering
+derivatives from finite differences along the simulated flow.
 """
 
 import math
 
 import numpy as np
 
+from nonholo.control import steer_derivative_chain
 from nonholo.models import DriveInput, Variant, eom_rhs
 from nonholo.params import VehicleParams
 
@@ -63,6 +65,46 @@ def newtonian_forces(sigma1, psi, gamma, gamma_dot, gamma_ddot, F_R, F_F,
     Ftil_F = (F_R + F_F * cg - m3 * d * psidot ** 2
               - m1 * (xGdd * cp + yGdd * sp)) / sg
     return Ftil_R, Ftil_F
+
+
+def steer_derivatives_by_flow(y0, V, profile, gains, gamma_sat,
+                              params: VehicleParams):
+    """gamma' and gamma'' of the steering command along the closed-loop flow.
+
+    The constant-speed loop is flowed forward and back by a fine RK4 on its
+    own inline path-frame rates, and the command is differenced along it: a
+    central difference at 1e-5 s for gamma', a five-point stencil at 5e-4 s
+    for gamma''.
+    """
+    def gamma_at(y):
+        return steer_derivative_chain(y[0], y[1], y[2], V, 0.0, profile,
+                                      gains, gamma_sat, params).gamma_des
+
+    def rhs(y):
+        gamma = gamma_at(y)
+        kap = profile.kappa(y[0])
+        one = 1.0 - kap * y[1]
+        sd = V * math.cos(y[2]) / one
+        return np.array([sd, V * math.sin(y[2]),
+                         V * math.tan(gamma) / params.l - kap * sd])
+
+    def flow(y0, T, h=1e-6):
+        y = np.array(y0, float)
+        hh = math.copysign(h, T)
+        for _ in range(int(round(abs(T) / h))):
+            a = rhs(y)
+            b = rhs(y + 0.5 * hh * a)
+            c = rhs(y + 0.5 * hh * b)
+            d = rhs(y + hh * c)
+            y = y + hh / 6.0 * (a + 2 * b + 2 * c + d)
+        return y
+
+    h1 = 1e-5
+    fd1 = (gamma_at(flow(y0, h1)) - gamma_at(flow(y0, -h1))) / (2 * h1)
+    h2 = 5e-4
+    g = [gamma_at(flow(y0, k * h2)) for k in (-2, -1, 0, 1, 2)]
+    fd2 = (-g[0] + 16 * g[1] - 30 * g[2] + 16 * g[3] - g[4]) / (12 * h2 * h2)
+    return fd1, fd2
 
 
 def pseudo_matrix(choice, psi, gamma, params: VehicleParams):

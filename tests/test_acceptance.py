@@ -20,12 +20,18 @@ import pytest
 
 from nonholo.analysis import (linearize_kinematic, stability_grid,
                               verify_equivalence)
-from nonholo.control import (WrapperSpec, steer_derivative_chain,
-                             steering_saturation, target_speed, wrapper)
+from nonholo.control import (WrapperSpec, driving_force, feedback_steer,
+                             feedforward_steer, longitudinal_accel,
+                             preview_max_curvature, steer_derivative_chain,
+                             steering_saturation, steering_torque,
+                             target_speed, wrapper)
 from nonholo.models import (DriveInput, Variant, constraining_forces,
-                            constraint_residuals, eom_rhs)
-from nonholo.path import CurvatureProfile, build_path
-from nonholo.sim import count_zero_crossings, named_scenario, run_scenario
+                            constraint_residuals, eom_floats, eom_rhs)
+from nonholo.path import (CurvatureProfile, PathQuery, build_path,
+                          frame_rates_inverse)
+from nonholo.pathframe import rates
+from nonholo.sim import (_make_loop, count_zero_crossings, named_scenario,
+                         run_scenario)
 
 import oracles
 
@@ -271,6 +277,49 @@ def test_criterion_06_longitudinal_scenarios(fig20, fig21):
     assert ok
 
 
+def _columns(trace, i, names):
+    return [float(trace[name][i]) for name in names]
+
+
+def test_plant_rows_are_the_model_rows(fig17, fig20):
+    """The loops integrate the models' sigma2' and sigma1' rows, bit for bit.
+
+    At sampled committed states each loop's inputs are rebuilt through the
+    public control calls, so a private copy of either row that drifts from
+    the model (and from the exact inverse driving_force) fails here.
+    """
+    sc = named_scenario("fig17")
+    p, g = sc.params, sc.gains
+    _, loop, _ = _make_loop(sc)
+    gsat = steering_saturation(sc.V, g, p)
+    for i in np.linspace(0, len(fig17.t) - 1, 50).astype(int):
+        s, e, th, gam, s2 = _columns(fig17, i, ("s_C", "e_C", "theta_C",
+                                                "gamma", "sigma2"))
+        gdes = feedforward_steer(sc.profile.kappa(s + sc.V * g.t_L), p.l) \
+            + feedback_steer(e, th, g, gamma_sat=gsat)
+        u = DriveInput(T_s=steering_torque(gam, gdes, g))
+        y = _columns(fig17, i, ("x_G", "y_G", "psi")) + [gam, s2]
+        assert loop(fig17.t[i], [s, e, th, gam, s2])[4] \
+            == eom_floats(Variant.SKATE_TORQUE_STEER, y, u, p, sc.V)[4]
+
+    sc = named_scenario("fig20")
+    _, loop, _ = _make_loop(sc)
+    for i in np.linspace(0, len(fig20.t) - 1, 50).astype(int):
+        s, e, th, s1 = _columns(fig20, i, ("s_C", "e_C", "theta_C", "sigma1"))
+        v_des = target_speed(
+            preview_max_curvature(sc.profile, s, g.preview_dist), g)
+        a_des = longitudinal_accel(s1, v_des, g)
+        cmd = steer_derivative_chain(s, e, th, s1, a_des, sc.profile, g,
+                                     steering_saturation(s1, g, p), p)
+        F = driving_force(a_des, cmd.gamma_des, cmd.gamma_dot,
+                          cmd.gamma_ddot, s1, p)
+        u = DriveInput(gamma=cmd.gamma_des, gamma_dot=cmd.gamma_dot,
+                       gamma_ddot=cmd.gamma_ddot, F_R=F.F_R)
+        y = _columns(fig20, i, ("x_G", "y_G", "psi")) + [s1]
+        assert loop(fig20.t[i], [s, e, th, s1])[3] \
+            == eom_floats(Variant.SKATE_FORCE, y, u, p)[3]
+
+
 def test_criterion_07_model_equivalence(params):
     reports = {pair: verify_equivalence(pair, params)
                for pair in ("skate_wheel", "appell_lagrange", "alt_pseudo")}
@@ -310,6 +359,30 @@ def test_criterion_08_constraint_residuals(params, fig13, fig16, fig20, fig21):
                 f"max skate-trace residual = {worst:.2e}, "
                 f"max wheel residual = {worst_wheel:.2e} (tol 1e-8)")
     assert ok
+
+
+def test_resid_max_matches_scalar_reference(params, fig16, fig17, fig20):
+    """resid_max, computed on whole columns, equals the scalar
+    models.constraint_residuals on Earth-frame rates rebuilt row by row."""
+    l, d = params.l, params.d
+    for name, trace in (("fig16", fig16), ("fig17", fig17), ("fig20", fig20)):
+        sc = named_scenario(name)
+        table = build_path(sc.profile)
+        V = sc.V if sc.variant.constrained_speed else None
+        for i in np.linspace(0, len(trace.t) - 1, 40).astype(int):
+            s, e, th, gam, sp, psi = _columns(
+                trace, i, ("s_C", "e_C", "theta_C", "gamma", "sigma1", "psi"))
+            kap = sc.profile.kappa(s)
+            q = PathQuery(s_C=s, e_C=e, psi_C=table.pose_at(s)[2],
+                          kappa_C=kap, theta_C=th)
+            xd, yd, pd = frame_rates_inverse(
+                *rates(kap, e, th, sp, math.tan(gam), l), q)
+            dy = [xd - d * pd * math.sin(psi), yd + d * pd * math.cos(psi), pd]
+            # gamma is state 3 of the torque-steer model, an input otherwise
+            y = _columns(trace, i, ("x_G", "y_G", "psi")) + [gam]
+            ref = np.max(np.abs(constraint_residuals(
+                sc.variant, y, dy, DriveInput(gamma=gam), params, V)))
+            assert abs(trace["resid_max"][i] - ref) <= 1e-12, (name, i)
 
 
 def test_criterion_09_constraining_force_oracles(params):
@@ -377,43 +450,15 @@ def test_criterion_12_derivative_chain(params, gains, fig16):
     gsat = steering_saturation(V, gains, params)
     prof = CurvatureProfile.periodic(4, 250.0)
 
-    def rhs(y):
-        cmd = steer_derivative_chain(y[0], y[1], y[2], V, 0.0, prof, gains,
-                                     gsat, params)
-        kap = prof.kappa(y[0])
-        one = 1.0 - kap * y[1]
-        sd = V * math.cos(y[2]) / one
-        return np.array([sd, V * math.sin(y[2]),
-                         V * math.tan(cmd.gamma_des) / params.l - kap * sd])
-
-    def flow(y0, T, h=1e-6):
-        y = np.array(y0, float)
-        hh = math.copysign(h, T)
-        for _ in range(int(round(abs(T) / h))):
-            a = rhs(y)
-            b = rhs(y + 0.5 * hh * a)
-            c = rhs(y + 0.5 * hh * b)
-            d = rhs(y + hh * c)
-            y = y + hh / 6.0 * (a + 2 * b + 2 * c + d)
-        return y
-
-    def gamma_at(y):
-        return steer_derivative_chain(y[0], y[1], y[2], V, 0.0, prof, gains,
-                                      gsat, params).gamma_des
-
     worst1, worst2 = 0.0, 0.0
     idx = np.linspace(5000, len(fig16.t) - 1, 8).astype(int)
     for i in idx:
         y0 = np.array([fig16["s_C"][i], fig16["e_C"][i], fig16["theta_C"][i]])
         cmd = steer_derivative_chain(y0[0], y0[1], y0[2], V, 0.0, prof,
                                      gains, gsat, params)
-        h1 = 1e-5
-        fd1 = (gamma_at(flow(y0, h1)) - gamma_at(flow(y0, -h1))) / (2 * h1)
+        fd1, fd2 = oracles.steer_derivatives_by_flow(y0, V, prof, gains,
+                                                     gsat, params)
         worst1 = max(worst1, abs(fd1 - cmd.gamma_dot))
-        h2 = 5e-4
-        g = [gamma_at(flow(y0, k * h2)) for k in (-2, -1, 0, 1, 2)]
-        fd2 = (-g[0] + 16 * g[1] - 30 * g[2] + 16 * g[3] - g[4]) \
-            / (12 * h2 * h2)
         worst2 = max(worst2, abs(fd2 - cmd.gamma_ddot))
     ok = report(12, worst1 < 1e-6 and worst2 < 1e-4,
                 f"gamma_dot vs FD: {worst1:.2e} (tol 1e-6), "

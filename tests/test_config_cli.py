@@ -17,7 +17,7 @@ path {
 }
 controller {
     mode = steer_only
-    t_L = 0.1
+    k2 = 0.03
 }
 sim {
     model = skate_kinematic
@@ -74,7 +74,7 @@ class TestConfig:
         assert sc.profile.N == 4
         assert sc.duration == 5.0
         assert sc.e0 == -3.0
-        assert sc.gains.t_L == 0.1
+        assert sc.gains.k2 == 0.03
         assert sc.variant is Variant.SKATE_KINEMATIC
         assert output == {"dir": "results", "plot": False}
 
@@ -184,6 +184,9 @@ class TestCli:
         # 30 s at 20 m/s runs 600 m along a 300 m open piece of the path
         ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
          "    length = 300\n}\nsim {\n    dt = 0.005\n}\n", "length"),
+        ("controller {\n    mode = steer_only\n    t_L = 0.1\n}\n", "t_L"),
+        # a straight table starts at s = 0, so no length covers s0 < 0
+        ("sim {\n    s0 = -5\n    duration = 1\n    dt = 0.01\n}\n", "s0"),
     ])
     def test_simulate_bad_config_exit_2(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "bad.cfg"
@@ -194,6 +197,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"'{key}'" in err and "Traceback" not in err
         assert not any(out.iterdir())
+
+    def test_simulate_straight_from_s0(self, tmp_path, capsys):
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("sim {\n    s0 = 500\n    duration = 1\n"
+                       "    dt = 0.01\n}\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                   "--no-plot"])
+        assert rc == 0
+        rows = [r.split(",") for r in
+                (tmp_path / "trace.csv").read_text().splitlines()]
+        col = rows[0].index
+        assert float(rows[-1][col("s_C")]) == pytest.approx(520.0)
+        assert float(rows[-1][col("x_G")]) == pytest.approx(521.54)
 
     def test_simulate_guard_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "guard.cfg"
@@ -272,6 +288,7 @@ class TestCli:
         (["--param", "N", "--values", "1"], "N"),
         (["--param", "s_T", "--values", "-5"], "s_T"),
         (["--param", "wrapper_n", "--values", "2,1001"], "wrapper_n"),
+        (["--param", "t_L", "--figure", "fig16", "--values", "0.3"], "t_L"),
     ])
     def test_sweep_bad_scenario_exit_2(self, tmp_path, capsys, argv, key):
         rc = main(["sweep", *argv, "--out", str(tmp_path)])

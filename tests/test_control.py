@@ -270,41 +270,13 @@ class TestDerivativeChain:
         gsat = steering_saturation(V, gains, params)
         prof = n4_profile
 
-        def rhs(y):
-            cmd = steer_derivative_chain(y[0], y[1], y[2], V, 0.0, prof,
-                                         gains, gsat, params)
-            kap = prof.kappa(y[0])
-            one = 1.0 - kap * y[1]
-            sd = V * math.cos(y[2]) / one
-            return np.array([sd, V * math.sin(y[2]),
-                             V * math.tan(cmd.gamma_des) / params.l - kap * sd])
-
-        def flow(y0, T, h=1e-6):
-            y = np.array(y0, float)
-            hh = math.copysign(h, T)
-            for _ in range(int(round(abs(T) / h))):
-                a = rhs(y)
-                b = rhs(y + 0.5 * hh * a)
-                c = rhs(y + 0.5 * hh * b)
-                d = rhs(y + hh * c)
-                y = y + hh / 6.0 * (a + 2 * b + 2 * c + d)
-            return y
-
-        def gamma_at(y):
-            return steer_derivative_chain(y[0], y[1], y[2], V, 0.0, prof,
-                                          gains, gsat, params).gamma_des
-
         rng = np.random.default_rng(7)
         for _ in range(5):
             y0 = np.array([rng.uniform(0.0, 1000.0), rng.uniform(-3.0, 3.0),
                            rng.uniform(-0.3, 0.3)])
             cmd = steer_derivative_chain(y0[0], y0[1], y0[2], V, 0.0, prof,
                                          gains, gsat, params)
-            h1 = 1e-5
-            fd1 = (gamma_at(flow(y0, h1)) - gamma_at(flow(y0, -h1))) / (2 * h1)
+            fd1, fd2 = oracles.steer_derivatives_by_flow(y0, V, prof, gains,
+                                                         gsat, params)
             assert cmd.gamma_dot == pytest.approx(fd1, abs=1e-6)
-            h2 = 5e-4
-            g = [gamma_at(flow(y0, k * h2)) for k in (-2, -1, 0, 1, 2)]
-            fd2 = (-g[0] + 16 * g[1] - 30 * g[2] + 16 * g[3] - g[4]) \
-                / (12 * h2 * h2)
             assert cmd.gamma_ddot == pytest.approx(fd2, abs=1e-4)
