@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -143,15 +144,17 @@ class PathQuery:
 class PathTable:
     """Arc-length sampled path with pose lookup and closest-point projection.
 
-    Immutable after construction; all queries are re-entrant.
+    Immutable after construction: the arrays are read-only views of the
+    inputs (not copies, so do not write those later); queries are re-entrant.
     """
 
+    _COLUMNS = ("s", "x", "y", "psi", "kappa")
+
     def __init__(self, s, x, y, psi, kappa, closed: bool):
-        self.s = np.asarray(s, dtype=float)
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        self.psi = np.asarray(psi, dtype=float)
-        self.kappa = np.asarray(kappa, dtype=float)
+        for name, col in zip(self._COLUMNS, (s, x, y, psi, kappa)):
+            view = np.asarray(col, dtype=float).view()
+            view.flags.writeable = False
+            setattr(self, name, view)
         if not (len(self.s) == len(self.x) == len(self.y)
                 == len(self.psi) == len(self.kappa)):
             raise ValueError("sample arrays must have equal length")
@@ -175,27 +178,43 @@ class PathTable:
 
     # -- lookup ----------------------------------------------------------
 
+    @cached_property
+    def _floats(self) -> tuple[list[float], ...]:
+        """The columns as Python lists, read by the scalar queries only."""
+        return tuple(getattr(self, name).tolist() for name in self._COLUMNS)
+
     def _reduce(self, s: float) -> float:
+        S = self._floats[0]
         if self.closed:
-            return (s - self.s[0]) % self.perimeter + self.s[0]
-        return min(max(s, self.s[0]), self.s[-1])
+            return (s - S[0]) % self.perimeter + S[0]
+        return min(max(s, S[0]), S[-1])
 
     def _segment(self, s: float) -> tuple[int, float]:
+        S = self._floats[0]
         sr = self._reduce(s)
-        i = int((sr - self.s[0]) / self.step)
-        i = min(max(i, 0), len(self.s) - 2)
-        u = (sr - self.s[i]) / self.step
+        i = int((sr - S[0]) / self.step)
+        i = min(max(i, 0), len(S) - 2)
+        u = (sr - S[i]) / self.step
         return i, u
+
+    def _kappa(self, i: int, u: float) -> float:
+        K = self._floats[4]
+        return (1.0 - u) * K[i] + u * K[i + 1]
 
     def kappa_at(self, s: float) -> float:
         """Curvature at arc length s, linearly interpolated."""
-        i, u = self._segment(s)
-        return (1.0 - u) * self.kappa[i] + u * self.kappa[i + 1]
+        return self._kappa(*self._segment(s))
 
     def pose_at(self, s: float) -> tuple[float, float, float]:
         """(x, y, psi) at arc length s via cubic Hermite interpolation."""
         i, u = self._segment(s)
-        return self._hermite(i, u, math.cos, math.sin)
+        return self._hermite(i, u, math.cos, math.sin, *self._floats[1:])
+
+    def _pose_kappa(self, s: float) -> tuple[float, float, float, float]:
+        """pose_at(s) and kappa_at(s) from one segment lookup."""
+        i, u = self._segment(s)
+        return (*self._hermite(i, u, math.cos, math.sin, *self._floats[1:]),
+                self._kappa(i, u))
 
     def pose_at_many(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`pose_at` for an array of arc lengths."""
@@ -206,21 +225,21 @@ class PathTable:
             sr = np.clip(s, self.s[0], self.s[-1])
         i = np.clip(((sr - self.s[0]) / self.step).astype(int), 0, len(self.s) - 2)
         u = (sr - self.s[i]) / self.step
-        return self._hermite(i, u, np.cos, np.sin)
+        return self._hermite(i, u, np.cos, np.sin,
+                             self.x, self.y, self.psi, self.kappa)
 
-    def _hermite(self, i, u, cos, sin):
-        """Hermite pose on segment(s) i at fraction u; scalar or array."""
-        h = self.step
-        h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
-        h10 = u * (1.0 - u) ** 2
+    def _hermite(self, i, u, cos, sin, X, Y, P, K):
+        """Hermite pose on segment(s) i at u: float lists with math, arrays with np."""
+        w = (1.0 - u) ** 2
+        h00 = (1.0 + 2.0 * u) * w
+        h10 = u * w * self.step         # the tangent weights times the step
         h01 = u * u * (3.0 - 2.0 * u)
-        h11 = u * u * (u - 1.0)
-        c0, c1 = cos(self.psi[i]), cos(self.psi[i + 1])
-        s0, s1 = sin(self.psi[i]), sin(self.psi[i + 1])
-        x = h00 * self.x[i] + h10 * h * c0 + h01 * self.x[i + 1] + h11 * h * c1
-        y = h00 * self.y[i] + h10 * h * s0 + h01 * self.y[i + 1] + h11 * h * s1
-        psi = (h00 * self.psi[i] + h10 * h * self.kappa[i]
-               + h01 * self.psi[i + 1] + h11 * h * self.kappa[i + 1])
+        h11 = u * u * (u - 1.0) * self.step
+        j = i + 1
+        p0, p1 = P[i], P[j]
+        x = h00 * X[i] + h10 * cos(p0) + h01 * X[j] + h11 * cos(p1)
+        y = h00 * Y[i] + h10 * sin(p0) + h01 * Y[j] + h11 * sin(p1)
+        psi = h00 * p0 + h10 * K[i] + h01 * p1 + h11 * K[j]
         return x, y, psi
 
     # -- projection ------------------------------------------------------
@@ -233,20 +252,25 @@ class PathTable:
         distinct minima raises :class:`AmbiguousProjection`. With a hint only
         a local window of the table is searched (the closest point moves
         continuously along a trajectory) and the returned s_C is continuous
-        with the hint, i.e. not reduced modulo the perimeter.
+        with the hint, i.e. not reduced modulo the perimeter. A non-finite
+        x, y, psi or hint raises ValueError naming the first one.
         """
+        x, y, psi = float(x), float(y), float(psi)
+        hint = None if hint is None else float(hint)
+        for name, v in (("x", x), ("y", y), ("psi", psi), ("hint", hint)):
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"project: {name} = {v} is not finite")
+        S = self._floats[0]
         if hint is None:
             i0 = self._global_nearest(x, y)
-            s_guess = self.s[i0]
+            s_guess = S[i0]
         else:
             i0 = self._local_nearest(x, y, hint, window)
-            s_guess = self.s[0] + i0 * self.step
+            s_guess = S[0] + i0 * self.step
 
-        s_star = self._refine(x, y, s_guess)
-        xc, yc, psic = self.pose_at(s_star)
+        s_star, (xc, yc, psic, kap) = self._refine(x, y, s_guess)
         e = -(x - xc) * math.sin(psic) + (y - yc) * math.cos(psic)
         theta = wrap_angle(psi - psic)
-        kap = self.kappa_at(s_star)
         if hint is not None and self.closed:
             # unwrap next to the hint so s_C stays monotone along a run
             delta = (s_star - hint + 0.5 * self.perimeter) % self.perimeter \
@@ -281,27 +305,28 @@ class PathTable:
 
     def _local_nearest(self, x: float, y: float, hint: float, window: float) -> int:
         n = len(self.s)
-        ic = int(round((self._reduce(hint) - self.s[0]) / self.step))
+        ic = int(round((self._reduce(hint) - self._floats[0][0]) / self.step))
         k = max(1, int(math.ceil(window / self.step)))
-        if self.closed:
-            idx = (np.arange(ic - k, ic + k + 1)) % (n - 1)
-        else:
-            idx = np.arange(max(0, ic - k), min(n, ic + k + 1))
+        lo, hi = ic - k, ic + k + 1
+        wraps = self.closed and (lo < 0 or hi > n - 1)   # crosses the seam
+        idx = np.arange(lo, hi) % (n - 1) if wraps else slice(max(0, lo), min(n, hi))
         d2 = (self.x[idx] - x) ** 2 + (self.y[idx] - y) ** 2
-        return int(idx[int(np.argmin(d2))])
+        j = int(d2.argmin())
+        return int(idx[j]) if wraps else idx.start + j
 
-    def _refine(self, x: float, y: float, s0: float) -> float:
+    def _refine(self, x: float, y: float, s0: float):
+        """Closest-point s near s0 and its lookup, Newton's last one if at s."""
         # Newton iteration on the tangency condition (P - C(s)) . t(s) = 0,
         # equivalently on the derivative of the squared distance.
         s = s0
         for _ in range(12):
-            xc, yc, psic = self.pose_at(s)
+            s_look = s
+            xc, yc, psic, kap = look = self._pose_kappa(s)
             tx, ty = math.cos(psic), math.sin(psic)
             rx, ry = x - xc, y - yc
             g = rx * tx + ry * ty
             if abs(g) < 1e-12:
                 break
-            kap = self.kappa_at(s)
             # d/ds [(P-C).t] = -|t|^2 + (P-C).(kappa*n) = -(1 - kappa*e)
             e_loc = -rx * ty + ry * tx
             gp = -(1.0 - kap * e_loc)
@@ -312,15 +337,14 @@ class PathTable:
             s += ds
             if abs(ds) < 1e-13 * max(1.0, abs(s)):
                 break
-        if not self.closed:
-            s = min(max(s, self.s[0]), self.s[-1])
-        return self._reduce(s)
+        s = self._reduce(s)        # also clamps s to an open table's range
+        return s, look if s == s_look else self._pose_kappa(s)
 
     # -- CSV -------------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        write_csv(path, ("s", "x", "y", "psi", "kappa"),
-                  (self.s, self.x, self.y, self.psi, self.kappa))
+        write_csv(path, self._COLUMNS,
+                  [getattr(self, name) for name in self._COLUMNS])
 
     @classmethod
     def from_csv(cls, path, closed: bool = False) -> "PathTable":

@@ -186,6 +186,74 @@ class TestProjection:
             assert np.allclose(again, pose, atol=1e-9)
             assert q.e_C == pytest.approx(e, abs=1e-8)
 
+    @pytest.mark.parametrize("args, hint, name", [
+        ((math.nan, 0.0, 0.0), 1.0, "x"),
+        ((0.0, 0.0, 0.0), math.nan, "hint"),
+        ((1.0, 0.0, math.nan), 0.0, "psi"),
+        ((math.nan, 0.0, 0.0), None, "x"),
+        ((math.inf, 0.0, 0.0), None, "x"),
+        ((0.0, -math.inf, math.nan), math.nan, "y"),
+    ], ids=["x_hinted", "hint", "psi", "x_unhinted", "x_inf", "first_named"])
+    def test_non_finite_input_raises(self, n4_table, args, hint, name):
+        with pytest.raises(ValueError, match=f"{name} = "):
+            n4_table.project(*args, hint=hint)
+
+    def test_query_fields_are_floats(self, n4_table):
+        for hint in (None, 999.8):
+            q = n4_table.project(np.float64(1.0), 2.0, 0.1, hint=hint)
+            assert all(type(v) is float for v in vars(q).values())
+
+
+class TestTableArrays:
+    def test_read_only_views(self):
+        s = np.arange(11) * 0.5
+        cols = [s, s.copy(), np.zeros(11), np.zeros(11), np.zeros(11)]
+        table = PathTable(*cols, closed=False)
+        for name in ("s", "x", "y", "psi", "kappa"):
+            with pytest.raises(ValueError):
+                getattr(table, name)[0] = 1.0
+        assert np.shares_memory(table.x, cols[1])
+        cols[1][0] = 7.0        # the caller's own array stays writable
+        assert cols[1][0] == 7.0
+
+    def test_vectorized_lookup_builds_no_float_mirror(self):
+        table = build_path(CurvatureProfile.straight(), length=10.0)
+        table.pose_at_many(np.linspace(0.0, 10.0, 7))
+        assert "_floats" not in vars(table)
+
+
+def _csv_table(tmp_path):
+    # nonzero s0, read back as strided column views of one array
+    src = build_path(CurvatureProfile.periodic(3, 200.0))
+    PathTable(src.s + 37.0, src.x, src.y, src.psi, src.kappa,
+              closed=True).to_csv(tmp_path / "t.csv")
+    return PathTable.from_csv(tmp_path / "t.csv", closed=True)
+
+
+@pytest.mark.parametrize("kind", ["open", "closed_seam", "clockwise", "csv"])
+def test_pose_at_many_matches_pose_at(kind, tmp_path, rng):
+    # the vectorized lookup against the scalar reference; np.cos and
+    # math.cos may differ in the last bit, so not bitwise
+    if kind == "open":
+        table = build_path(CurvatureProfile.straight(), length=200.0,
+                           psi0=0.7)
+        s = np.concatenate([rng.uniform(-50.0, 250.0, 400),
+                            [-1.0, 0.0, 200.0, 201.0]])
+    elif kind == "closed_seam":
+        table = build_path(CurvatureProfile.periodic(4, 250.0))
+        s = np.concatenate([rng.uniform(-2.0, 2.0, 200),
+                            rng.uniform(998.0, 1002.0, 200),
+                            rng.uniform(-3000.0, 3000.0, 200)])
+    elif kind == "clockwise":
+        table = build_path(CurvatureProfile.circle(-80.0))
+        s = rng.uniform(-600.0, 1200.0, 400)
+    else:
+        table = _csv_table(tmp_path)
+        s = np.concatenate([rng.uniform(0.0, 700.0, 400), [37.0, 637.0]])
+    many = np.column_stack(table.pose_at_many(s))
+    one = np.array([table.pose_at(float(v)) for v in s])
+    assert np.all(np.abs(many - one) <= 1e-12 * np.maximum(1.0, np.abs(one)))
+
 
 class TestFrameRates:
     def test_straight_motion(self):
