@@ -226,16 +226,24 @@ SWEEP_PARAMS = ("t_L", "wrapper_n", "a_lat_max", "N", "s_T")
 
 
 def _run_concurrently(scenarios):
-    """Independent sweep runs share no mutable state; fan them out."""
-    if len(scenarios) < 2 or (os.cpu_count() or 1) < 2:
-        return [run_scenario(sc) for sc in scenarios]
-    from concurrent.futures import ProcessPoolExecutor
-    try:
-        with ProcessPoolExecutor(
-                max_workers=min(len(scenarios), os.cpu_count())) as pool:
-            return list(pool.map(run_scenario, scenarios))
-    except (OSError, RuntimeError):
-        return [run_scenario(sc) for sc in scenarios]
+    """Yield the traces of independent runs in order, as they finish.
+
+    With two or more CPUs the runs fan out over a process pool. If it cannot
+    start or breaks, the runs not yet yielded go on serially. When a run
+    raises, ``Executor.map`` cancels the pending runs and the pool's exit
+    joins its workers.
+    """
+    done = 0
+    if len(scenarios) > 1 and (os.cpu_count() or 1) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(
+                    max_workers=min(len(scenarios), os.cpu_count())) as pool:
+                for done, trace in enumerate(pool.map(run_scenario, scenarios), 1):
+                    yield trace
+        except (OSError, RuntimeError):
+            pass
+    yield from map(run_scenario, scenarios[done:])
 
 
 def _sweep_item(param: str, v: float, base: Scenario | None, s_T: float):
@@ -289,18 +297,17 @@ def cmd_sweep(args) -> int:
         return _sweep_wrapper(values, items, out)
     if base is None:
         return _sweep_paths(items, out)
-    try:
-        traces = _run_concurrently(items)
+    rows = []
+    try:   # each lane's CSV is written as it arrives; see README on exit 3
+        for value, trace in zip(values, _run_concurrently(items), strict=True):
+            tail = trace.t >= trace.t[-1] * 0.4
+            rms = float(np.sqrt(np.mean(trace["e_C"][tail] ** 2)))
+            rows.append((value, rms))
+            trace.to_csv(out / f"trace_{args.param}_{value:g}.csv")
+            print(f"{args.param} = {value:g}: post-transient rms e_C = {rms:.5g} m")
     except GuardTripped as exc:
         print(f"guard tripped during sweep: {exc}", file=sys.stderr)
         return 3
-    rows = []
-    for value, trace in zip(values, traces):
-        tail = trace.t >= trace.t[-1] * 0.4
-        rms = float(np.sqrt(np.mean(trace["e_C"][tail] ** 2)))
-        rows.append((value, rms))
-        trace.to_csv(out / f"trace_{args.param}_{value:g}.csv")
-        print(f"{args.param} = {value:g}: post-transient rms e_C = {rms:.5g} m")
     dest = out / f"sweep_{args.param}.csv"
     write_csv(dest, (args.param, "rms_e"), list(zip(*rows)))
     best = min(rows, key=lambda r: r[1])

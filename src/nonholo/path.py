@@ -41,6 +41,12 @@ def write_csv(dest, header, columns) -> None:
             fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
+def _finite(s: float) -> float:
+    if not math.isfinite(s):
+        raise ValueError(f"path lookup: s = {s} is not finite")
+    return s
+
+
 def wrap_angle(angle: float) -> float:
     """Wrap an angle to [-pi, pi), rounding to the nearest whole turn.
 
@@ -144,17 +150,18 @@ class PathQuery:
 class PathTable:
     """Arc-length sampled path with pose lookup and closest-point projection.
 
-    Immutable after construction: the arrays are read-only views of the
-    inputs (not copies, so do not write those later); queries are re-entrant.
+    Immutable after construction: the arrays are read-only copies of the
+    inputs, so the caller may go on writing its own; queries are re-entrant.
+    A lookup at a non-finite s raises ValueError naming s.
     """
 
     _COLUMNS = ("s", "x", "y", "psi", "kappa")
 
     def __init__(self, s, x, y, psi, kappa, closed: bool):
         for name, col in zip(self._COLUMNS, (s, x, y, psi, kappa)):
-            view = np.asarray(col, dtype=float).view()
-            view.flags.writeable = False
-            setattr(self, name, view)
+            arr = np.array(col, dtype=float)
+            arr.flags.writeable = False
+            setattr(self, name, arr)
         if not (len(self.s) == len(self.x) == len(self.y)
                 == len(self.psi) == len(self.kappa)):
             raise ValueError("sample arrays must have equal length")
@@ -203,11 +210,11 @@ class PathTable:
 
     def kappa_at(self, s: float) -> float:
         """Curvature at arc length s, linearly interpolated."""
-        return self._kappa(*self._segment(s))
+        return self._kappa(*self._segment(_finite(s)))
 
     def pose_at(self, s: float) -> tuple[float, float, float]:
         """(x, y, psi) at arc length s via cubic Hermite interpolation."""
-        i, u = self._segment(s)
+        i, u = self._segment(_finite(s))
         return self._hermite(i, u, math.cos, math.sin, *self._floats[1:])
 
     def _pose_kappa(self, s: float) -> tuple[float, float, float, float]:
@@ -219,6 +226,9 @@ class PathTable:
     def pose_at_many(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`pose_at` for an array of arc lengths."""
         s = np.asarray(s, dtype=float)
+        bad = ~np.isfinite(s)
+        if bad.any():
+            _finite(float(s[bad].flat[0]))
         if self.closed:
             sr = (s - self.s[0]) % self.perimeter + self.s[0]
         else:
@@ -253,13 +263,16 @@ class PathTable:
         a local window of the table is searched (the closest point moves
         continuously along a trajectory) and the returned s_C is continuous
         with the hint, i.e. not reduced modulo the perimeter. A non-finite
-        x, y, psi or hint raises ValueError naming the first one.
+        x, y, psi or hint raises ValueError naming the first one, and so
+        does a window that is not finite and positive.
         """
         x, y, psi = float(x), float(y), float(psi)
         hint = None if hint is None else float(hint)
         for name, v in (("x", x), ("y", y), ("psi", psi), ("hint", hint)):
             if v is not None and not math.isfinite(v):
                 raise ValueError(f"project: {name} = {v} is not finite")
+        if not 0.0 < window < math.inf:
+            raise ValueError(f"project: window = {window} is not finite and > 0")
         S = self._floats[0]
         if hint is None:
             i0 = self._global_nearest(x, y)

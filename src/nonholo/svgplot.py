@@ -2,13 +2,16 @@
 
 Each panel draws one or more polylines with axes, ticks and a small legend;
 `figure_panels` lays panels out on a grid, mirroring the multi-panel result
-displays of the experiments.
+displays of the experiments. Curves stay float arrays; only the samples
+drawn, about 2000 per curve, are formatted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -18,12 +21,19 @@ class Panel:
     title: str
     xlabel: str
     ylabel: str
-    curves: list[tuple[str, list[float], list[float]]] = field(default_factory=list)
+    curves: list[tuple[str, np.ndarray, np.ndarray]] = field(default_factory=list)
     equal_aspect: bool = False
 
     def add(self, label: str, x, y) -> "Panel":
-        self.curves.append((label, list(map(float, x)), list(map(float, y))))
+        self.curves.append((label, np.asarray(x, dtype=float),
+                            np.asarray(y, dtype=float)))
         return self
+
+
+def _range(cols) -> tuple[float, float]:
+    """(min, max) over the finite samples of the arrays; (0, 1) if none."""
+    v = np.concatenate([c[np.isfinite(c)] for c in cols] + [np.empty(0)])
+    return (float(v.min()), float(v.max())) if len(v) else (0.0, 1.0)
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -51,12 +61,8 @@ def _fmt(v: float) -> str:
 def _panel_svg(panel: Panel, ox: float, oy: float, w: float, h: float) -> str:
     m_l, m_r, m_t, m_b = 52.0, 12.0, 26.0, 38.0
     pw, ph = w - m_l - m_r, h - m_t - m_b
-    xs = [v for _, x, _ in panel.curves for v in x]
-    ys = [v for _, _, y in panel.curves for v in y]
-    if not xs:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    x0, x1 = _range([x for _, x, _ in panel.curves])
+    y0, y1 = _range([y for _, _, y in panel.curves])
     if x1 - x0 < 1e-12:
         x0, x1 = x0 - 1.0, x1 + 1.0
     if y1 - y0 < 1e-12:
@@ -96,8 +102,10 @@ def _panel_svg(panel: Panel, ox: float, oy: float, w: float, h: float) -> str:
     for idx, (label, x, y) in enumerate(panel.curves):
         color = PALETTE[idx % len(PALETTE)]
         step = max(1, len(x) // 2000)
-        pts = " ".join(f"{tx(x[i]):.2f},{ty(y[i]):.2f}"
-                       for i in range(0, len(x), step))
+        px, py = tx(x[::step]), ty(y[::step])
+        ok = np.isfinite(px) & np.isfinite(py)
+        pts = " ".join(f"{a:.2f},{b:.2f}"
+                       for a, b in zip(px[ok].tolist(), py[ok].tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2" clip-path="url(#{clip_id})"/>')
         lx = ox + m_l + 8

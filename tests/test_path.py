@@ -198,6 +198,12 @@ class TestProjection:
         with pytest.raises(ValueError, match=f"{name} = "):
             n4_table.project(*args, hint=hint)
 
+    @pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_window_raises(self, n4_table, window):
+        for hint in (None, 10.0):
+            with pytest.raises(ValueError, match="window = "):
+                n4_table.project(1.0, 2.0, 0.1, hint=hint, window=window)
+
     def test_query_fields_are_floats(self, n4_table):
         for hint in (None, 999.8):
             q = n4_table.project(np.float64(1.0), 2.0, 0.1, hint=hint)
@@ -205,21 +211,48 @@ class TestProjection:
 
 
 class TestTableArrays:
-    def test_read_only_views(self):
+    def test_read_only_copies(self):
         s = np.arange(11) * 0.5
         cols = [s, s.copy(), np.zeros(11), np.zeros(11), np.zeros(11)]
         table = PathTable(*cols, closed=False)
         for name in ("s", "x", "y", "psi", "kappa"):
             with pytest.raises(ValueError):
                 getattr(table, name)[0] = 1.0
-        assert np.shares_memory(table.x, cols[1])
+        assert not np.shares_memory(table.x, cols[1])
         cols[1][0] = 7.0        # the caller's own array stays writable
         assert cols[1][0] == 7.0
+
+    def test_caller_writes_do_not_reach_the_table(self):
+        s = np.linspace(0.0, 10.0, 101)
+        x = s.copy()
+        table = PathTable(s, x, np.zeros(101), np.zeros(101), np.zeros(101),
+                          closed=False)
+        before = table.pose_at(3.5)     # builds the float mirror
+        x[:] = 100.0
+        many = tuple(float(v[0]) for v in table.pose_at_many([3.5]))
+        assert table.pose_at(3.5) == before == many == (3.5, 0.0, 0.0)
 
     def test_vectorized_lookup_builds_no_float_mirror(self):
         table = build_path(CurvatureProfile.straight(), length=10.0)
         table.pose_at_many(np.linspace(0.0, 10.0, 7))
         assert "_floats" not in vars(table)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_scalar_lookup_of_non_finite_s_raises(s, n4_table, straight_table):
+    for table in (n4_table, straight_table):
+        for lookup in (table.pose_at, table.kappa_at):
+            with pytest.raises(ValueError, match=f"s = {s}"):
+                lookup(s)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+@pytest.mark.filterwarnings("error")
+def test_vectorized_lookup_of_non_finite_s_raises(s, n4_table,
+                                                  straight_table):
+    for table in (n4_table, straight_table):
+        with pytest.raises(ValueError, match=f"s = {s}"):
+            table.pose_at_many([1.0, s, 2.0])
 
 
 def _csv_table(tmp_path):

@@ -24,6 +24,12 @@ class TestPointwiseForms:
             assert dy[1] == 0.0
             assert dy[2] == pytest.approx(0.0, abs=1e-16)
 
+    def test_non_finite_s_raises(self, n4_table, params):
+        with pytest.raises(ValueError, match="s = nan"):
+            pathframe_rhs(Variant.SKATE_KINEMATIC, TrackPoint.REAR_AXLE,
+                          [math.nan, 0.0, 0.0], DriveInput(gamma=0.0),
+                          n4_table, params, V=20.0)
+
     def test_straight_path_reduction(self, straight_table, params):
         V, e, th, gamma = 18.0, 2.5, 0.2, 0.1
         dy = pathframe_rhs(Variant.SKATE_KINEMATIC, TrackPoint.REAR_AXLE,
