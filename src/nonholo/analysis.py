@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -248,17 +249,19 @@ def _integrate_open_loop(variant: Variant, y0, sc: EquivalenceScenario,
                          params: VehicleParams, to_torque: bool):
     r = params.r
 
+    @lru_cache(maxsize=1)   # stage 3 reuses stage 2's t, stage 1 mostly 4's
+    def drive(t):
+        g, gd, gdd = sc.gamma_fn(t)
+        fr, ff = sc.F_R_fn(t), sc.F_F_fn(t)
+        if to_torque:
+            return DriveInput(g, gd, gdd, T_R=r * fr, T_F=r * ff)
+        return DriveInput(g, gd, gdd, F_R=fr, F_F=ff)
+
     def rhs(t, y):
         if not all(map(math.isfinite, y)):
             # diverged inside this step: carry NaN on, reported below
             return [math.nan] * len(y)
-        g, gd, gdd = sc.gamma_fn(t)
-        fr, ff = sc.F_R_fn(t), sc.F_F_fn(t)
-        if to_torque:
-            u = DriveInput(g, gd, gdd, T_R=r * fr, T_F=r * ff)
-        else:
-            u = DriveInput(g, gd, gdd, F_R=fr, F_F=ff)
-        return eom_floats(variant, y, u, params)
+        return eom_floats(variant, y, drive(t), params)
 
     try:
         _, out = integrate(rhs, y0, sc.dt, sc.duration)

@@ -247,7 +247,8 @@ def _run_concurrently(scenarios):
 
 
 def _sweep_item(param: str, v: float, base: Scenario | None, s_T: float):
-    """The WrapperSpec, CurvatureProfile or Scenario one sweep value builds.
+    """The WrapperSpec, (CurvatureProfile, PathTable) or Scenario one sweep
+    value builds.
 
     Raises ValueError for a value the parameter cannot take.
     """
@@ -255,12 +256,12 @@ def _sweep_item(param: str, v: float, base: Scenario | None, s_T: float):
         raise ValueError("not a finite number")
     if param == "wrapper_n":
         return WrapperSpec(v, 1.0)
-    if param == "N":
-        if v != int(v):
+    if param in ("N", "s_T"):
+        if param == "N" and v != int(v):
             raise ValueError("N must be an integer")
-        return CurvatureProfile.periodic(int(v), s_T)
-    if param == "s_T":
-        return CurvatureProfile.periodic(4, v)
+        prof = CurvatureProfile.periodic(int(v), s_T) if param == "N" \
+            else CurvatureProfile.periodic(4, v)
+        return prof, build_path(prof)
     return replace(base, gains=replace(base.gains, **{param: v}))
 
 
@@ -335,10 +336,9 @@ def _sweep_wrapper(values, specs, out: Path) -> int:
     return 0
 
 
-def _sweep_paths(profiles, out: Path) -> int:
+def _sweep_paths(paths, out: Path) -> int:
     panel = Panel("closed paths", "x [m]", "y [m]", equal_aspect=True)
-    for prof in profiles:
-        table = build_path(prof)
+    for prof, table in paths:
         label = f"N={prof.N}, s_T={prof.s_T:g}"
         table.to_csv(out / f"path_N{prof.N}_sT{prof.s_T:g}.csv")
         panel.add(label, table.x, table.y)
@@ -353,8 +353,6 @@ def cmd_path(args) -> int:
     try:
         if args.kind == "straight":
             profile = CurvatureProfile.straight()
-            if not args.length:
-                raise ValueError("straight path needs --length")
         elif args.kind == "circle":
             profile = CurvatureProfile.circle(args.radius)
         else:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import AmbiguousProjection, NonClosure, TubeSingularity
 
 DEFAULT_STEP = 0.1
+PATH_STEPS_MAX = 2_000_000  # a build peaks near 140 bytes a step, 0.3 GB at the cap
 TUBE_EPS = 1e-9
 CLOSURE_RTOL = 1e-6
 _TIE_DIST = 1e-9          # equidistance tolerance for ambiguity detection
@@ -105,12 +106,13 @@ class CurvatureProfile:
         return cls(kind="periodic", kappa_max=4.0 * math.pi / (N * s_T),
                    s_T=s_T, N=N)
 
-    def kappa(self, s: float) -> float:
+    def kappa(self, s, cos=math.cos):
+        """Curvature at s: a float with math.cos, an array with np.cos."""
         if self.kind == "straight":
             return 0.0
         if self.kind == "circle":
             return self.kappa_const
-        return 0.5 * self.kappa_max * (1.0 - math.cos(2.0 * math.pi * s / self.s_T))
+        return 0.5 * self.kappa_max * (1.0 - cos(2.0 * math.pi * s / self.s_T))
 
     def kappa_prime(self, s: float) -> float:
         """d kappa / d s."""
@@ -366,50 +368,53 @@ class PathTable:
                    closed=closed)
 
 
+def _running_sum(start: float, steps) -> np.ndarray:
+    """start, then start plus each step in turn, added left to right."""
+    return np.add.accumulate(np.concatenate(([start], steps)))
+
+
 def build_path(profile: CurvatureProfile, step: float = DEFAULT_STEP,
                length: float | None = None,
                x0: float = 0.0, y0: float = 0.0, psi0: float = 0.0) -> PathTable:
     """Integrate the Frenet equations with fixed-step RK4 in arc length.
 
     For periodic (and circular) profiles the generated table covers one full
-    closed figure by default and is checked for closure.
+    closed figure by default and is checked for closure. A step or length
+    that is not finite and positive, or a table of more than
+    ``PATH_STEPS_MAX`` steps, raises ValueError naming ``step`` or
+    ``length`` before anything is allocated.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"key 'step': must be finite and > 0, not {step:g} m")
+    # a table too long for its step blames the step below the default or
+    # at the natural length, else the length
+    key = "step" if step < DEFAULT_STEP or length is None else "length"
     if length is None:
         length = profile.natural_length()
         if length is None:
-            raise ValueError("length is required for a straight profile")
-    n = max(1, int(round(length / step)))
+            raise ValueError("key 'length': a straight path needs a length")
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"key 'length': must be finite and > 0, not {length:g} m")
+    if not length / step <= PATH_STEPS_MAX:
+        raise ValueError(f"key '{key}': {length:g} m at step {step:g} m is "
+                         f"more than {PATH_STEPS_MAX} table steps")
+    n = max(1, round(length / step))
     h = length / n
 
-    s = np.empty(n + 1)
-    x = np.empty(n + 1)
-    y = np.empty(n + 1)
-    psi = np.empty(n + 1)
-    kap = np.empty(n + 1)
-    xi, yi, pi_ = x0, y0, psi0
-    kfun = profile.kappa
-    for i in range(n + 1):
-        si = i * h
-        s[i] = si
-        x[i], y[i], psi[i] = xi, yi, pi_
-        kap[i] = kfun(si)
-        if i == n:
-            break
-        # RK4 stages for (x', y', psi') = (cos psi, sin psi, kappa(s))
-        k1p = kfun(si)
-        p2 = pi_ + 0.5 * h * k1p
-        k2p = kfun(si + 0.5 * h)
-        p3 = pi_ + 0.5 * h * k2p
-        k3p = kfun(si + 0.5 * h)
-        p4 = pi_ + h * k3p
-        k4p = kfun(si + h)
-        xi += h / 6.0 * (math.cos(pi_) + 2.0 * math.cos(p2)
-                         + 2.0 * math.cos(p3) + math.cos(p4))
-        yi += h / 6.0 * (math.sin(pi_) + 2.0 * math.sin(p2)
-                         + 2.0 * math.sin(p3) + math.sin(p4))
-        pi_ += h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    # kappa does not depend on the state, so every RK4 increment of psi is
+    # known up front, and each column is one running sum of the increments
+    s = np.arange(n + 1.0) * h
+    kap = np.broadcast_to(profile.kappa(s, np.cos), s.shape)
+    k1, si = kap[:-1], s[:-1]
+    k2 = profile.kappa(si + 0.5 * h, np.cos)    # stage 3 is stage 2
+    k4 = profile.kappa(si + h, np.cos)          # not kap[1:]: i*h + h may differ
+    psi = _running_sum(psi0, h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k2 + k4))
+    p1 = psi[:-1]
+    p2, p3, p4 = p1 + 0.5 * h * k1, p1 + 0.5 * h * k2, p1 + h * k2
+    x = _running_sum(x0, h / 6.0 * (np.cos(p1) + 2.0 * np.cos(p2)
+                                    + 2.0 * np.cos(p3) + np.cos(p4)))
+    y = _running_sum(y0, h / 6.0 * (np.sin(p1) + 2.0 * np.sin(p2)
+                                    + 2.0 * np.sin(p3) + np.sin(p4)))
 
     closed = profile.kind in ("circle", "periodic") and \
         abs(length - (profile.natural_length() or -1.0)) <= 1e-9 * length

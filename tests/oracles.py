@@ -143,3 +143,37 @@ def wrapper_by_quadrature(n, g_sat, x):
 
     val, err = quad(deriv, 0.0, x, epsabs=1e-13, epsrel=1e-13, limit=200)
     return val
+
+
+def frenet_table_by_loop(profile, step, length=None, x0=0.0, y0=0.0,
+                         psi0=0.0):
+    """(s, x, y, psi, kappa) of a path by a scalar RK4 loop, sample by sample.
+
+    The loop that ``build_path`` replaced: five scalar ``kappa`` calls and
+    one RK4 step of (x', y', psi') = (cos psi, sin psi, kappa(s)) per sample.
+    """
+    if length is None:
+        length = profile.natural_length()
+    n = max(1, int(round(length / step)))
+    h = length / n
+    cols = np.empty((5, n + 1))
+    xi, yi, pi_ = x0, y0, psi0
+    kfun = profile.kappa
+    for i in range(n + 1):
+        si = i * h
+        cols[:, i] = si, xi, yi, pi_, kfun(si)
+        if i == n:
+            break
+        k1p = kfun(si)
+        p2 = pi_ + 0.5 * h * k1p
+        k2p = kfun(si + 0.5 * h)
+        p3 = pi_ + 0.5 * h * k2p
+        k3p = kfun(si + 0.5 * h)
+        p4 = pi_ + h * k3p
+        k4p = kfun(si + h)
+        xi += h / 6.0 * (math.cos(pi_) + 2.0 * math.cos(p2)
+                         + 2.0 * math.cos(p3) + math.cos(p4))
+        yi += h / 6.0 * (math.sin(pi_) + 2.0 * math.sin(p2)
+                         + 2.0 * math.sin(p3) + math.sin(p4))
+        pi_ += h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    return cols

@@ -30,8 +30,8 @@ from nonholo.models import (DriveInput, Variant, constraining_forces,
 from nonholo.path import (CurvatureProfile, PathQuery, build_path,
                           frame_rates_inverse)
 from nonholo.pathframe import rates
-from nonholo.sim import (_make_loop, count_zero_crossings, named_scenario,
-                         run_scenario)
+from nonholo.sim import (_build_table, _make_loop, count_zero_crossings,
+                         named_scenario, run_scenario)
 
 import oracles
 
@@ -361,13 +361,15 @@ def test_criterion_08_constraint_residuals(params, fig13, fig16, fig20, fig21):
     assert ok
 
 
-def test_resid_max_matches_scalar_reference(params, fig16, fig17, fig20):
+def test_resid_max_matches_scalar_reference(params, fig13, fig16, fig17,
+                                            fig20, fig21):
     """resid_max, computed on whole columns, equals the scalar
     models.constraint_residuals on Earth-frame rates rebuilt row by row."""
     l, d = params.l, params.d
-    for name, trace in (("fig16", fig16), ("fig17", fig17), ("fig20", fig20)):
+    for name, trace in (("fig13", fig13), ("fig16", fig16), ("fig17", fig17),
+                        ("fig20", fig20), ("fig21", fig21)):
         sc = named_scenario(name)
-        table = build_path(sc.profile)
+        table = _build_table(sc)
         V = sc.V if sc.variant.constrained_speed else None
         for i in np.linspace(0, len(trace.t) - 1, 40).astype(int):
             s, e, th, gam, sp, psi = _columns(

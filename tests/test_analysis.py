@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonholo.analysis import (EquivalenceScenario, _sine_steer,
+from nonholo.analysis import (DEFAULT_SCENARIOS, EquivalenceScenario,
+                              _integrate_open_loop, _sine_steer,
                               kinematic_stability, linearize_kinematic,
                               linearize_longitudinal, linearize_steering,
                               routh_hurwitz_kinematic, stability_grid,
@@ -12,6 +14,8 @@ from nonholo.analysis import (EquivalenceScenario, _sine_steer,
 from nonholo.control import (longitudinal_accel, target_speed,
                              wrapper, WrapperSpec)
 from nonholo.errors import DegenerateEquilibrium, SingularEncounter
+from nonholo.models import DriveInput, Variant, eom_floats
+from nonholo.sim import integrate
 
 TABLE5 = dict(V=20.0, l=2.57, k1=-0.5, k2=0.02)
 CLI_KAPPAS = (0.0, 0.005, 0.012566370614359173)
@@ -275,3 +279,42 @@ class TestEquivalenceSuite:
                                        F_R_fn=lambda t: 200.0)
         with pytest.raises(SingularEncounter):
             verify_equivalence("appell_lagrange", params, scenario=scenario)
+
+
+@pytest.mark.parametrize("pair,variant,y0,to_torque", [
+    ("skate_wheel", Variant.SKATE_FORCE, [0.0, 0.0, 0.0, 15.0], False),
+    ("skate_wheel", Variant.WHEEL_TORQUE, [0.0, 0.0, 0.0, 15.0, 0.0, 0.0],
+     True),
+    ("appell_lagrange", Variant.SKATE_FORCE_LAGRANGE,
+     [0.0, 0.0, 0.0, 15.0 * math.tan(0.3) / 2.57], False),
+    ("alt_pseudo", Variant.SKATE_FORCE_ALT_PSEUDO, [0.0, 0.0, 0.0, 15.0],
+     False),
+])
+def test_open_loop_inputs_once_per_stage_time(params, pair, variant, y0,
+                                              to_torque):
+    """The drive inputs are built once per distinct RK4 stage time, and the
+    states equal those of a loop that builds them at every stage."""
+    base = replace(DEFAULT_SCENARIOS[pair], duration=1.0)
+    times = []
+
+    def counting(t):
+        times.append(t)
+        return base.gamma_fn(t)
+
+    got = _integrate_open_loop(variant, y0, replace(base, gamma_fn=counting),
+                               params, to_torque)
+
+    def every_stage(t, y):
+        g, gd, gdd = base.gamma_fn(t)
+        fr, ff = base.F_R_fn(t), base.F_F_fn(t)
+        u = DriveInput(g, gd, gdd, T_R=params.r * fr, T_F=params.r * ff) \
+            if to_torque else DriveInput(g, gd, gdd, F_R=fr, F_F=ff)
+        return eom_floats(variant, y, u, params)
+
+    _, expected = integrate(every_stage, y0, base.dt, base.duration)
+    assert np.array_equal(got, expected)
+    # stages 2 and 3 share t + dt/2; stage 1 reuses the last stage 4 when
+    # t0 + k*dt rounds to the same float as (t0 + (k-1)*dt) + dt
+    n, dt = len(got) - 1, base.dt
+    stage1_misses = 1 + sum((k - 1) * dt + dt != k * dt for k in range(1, n))
+    assert len(times) == 2 * n + stage1_misses < 3 * n

@@ -187,6 +187,12 @@ class TestCli:
         ("controller {\n    mode = steer_only\n    t_L = 0.1\n}\n", "t_L"),
         # a straight table starts at s = 0, so no length covers s0 < 0
         ("sim {\n    s0 = -5\n    duration = 1\n    dt = 0.01\n}\n", "s0"),
+        ("path {\n    length = -5\n}\n", "length"),
+        ("path {\n    length = 0\n}\n", "length"),
+        ("path {\n    length = 1e17\n}\n", "length"),
+        ("path {\n    step = 0\n}\n", "step"),
+        ("path {\n    kind = circle\n    radius = 100\n    step = -1\n}\n",
+         "step"),
     ])
     def test_simulate_bad_config_exit_2(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "bad.cfg"
@@ -289,6 +295,9 @@ class TestCli:
         (["--param", "s_T", "--values", "-5"], "s_T"),
         (["--param", "wrapper_n", "--values", "2,1001"], "wrapper_n"),
         (["--param", "t_L", "--figure", "fig16", "--values", "0.3"], "t_L"),
+        # 4 * 600 km at the default step is more table than the cap allows
+        (["--param", "s_T", "--values", "250,600000"], "s_T"),
+        (["--param", "N", "--values", "4", "--s-T", "600000"], "N"),
     ])
     def test_sweep_bad_scenario_exit_2(self, tmp_path, capsys, argv, key):
         rc = main(["sweep", *argv, "--out", str(tmp_path)])
@@ -339,6 +348,25 @@ class TestCli:
     def test_path_straight_needs_length(self, tmp_path, capsys):
         rc = main(["path", "--kind", "straight", "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("args,key", [
+        (["--kind", "straight", "--length", "inf"], "length"),
+        (["--kind", "straight", "--length", "1e17"], "length"),
+        (["--kind", "straight", "--length", "nan"], "length"),
+        (["--kind", "straight", "--length", "0"], "length"),
+        (["--kind", "straight"], "length"),
+        (["--step", "nan"], "step"),
+        (["--step", "1e-9"], "step"),
+        (["--kind", "circle", "--length", "-5"], "length"),
+    ])
+    def test_path_bad_step_or_length_exit_2(self, tmp_path, capsys, args,
+                                            key):
+        out = tmp_path / "out"
+        rc = main(["path", *args, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"key '{key}'" in err and "Traceback" not in err
+        assert not any(out.iterdir())
 
     def test_randomcheck(self, tmp_path, capsys):
         rc = main(["simulate", "--figure", "randomcheck", "--seed", "7",

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonholo.errors import AmbiguousProjection, NonClosure, TubeSingularity
+from nonholo import path as path_module
 from nonholo.path import (CurvatureProfile, PathQuery, PathTable, build_path,
                           frame_rates, frame_rates_inverse, reconstruct_pose,
                           wrap_angle, write_csv)
+from oracles import frenet_table_by_loop
 
 KAPPA_N4 = 0.004 * math.pi
 
@@ -35,6 +37,17 @@ class TestCurvatureProfile:
     def test_closure_condition_enforced(self):
         with pytest.raises(ValueError, match="closure"):
             CurvatureProfile(kind="periodic", kappa_max=0.01, s_T=250.0, N=4)
+
+    @pytest.mark.parametrize("prof", [
+        CurvatureProfile.periodic(4, 250.0), CurvatureProfile.periodic(3, 50.0),
+        CurvatureProfile.circle(-80.0), CurvatureProfile.straight()])
+    def test_array_kappa_matches_scalar(self, prof):
+        s = np.linspace(-300.0, 1300.0, 4001)
+        expected = [prof.kappa(float(v)) for v in s]
+        # numpy's cos may differ from libm's in the last bit on some CPUs
+        np.testing.assert_allclose(np.broadcast_to(prof.kappa(s, np.cos),
+                                                   s.shape),
+                                   expected, rtol=0.0, atol=1e-15)
 
     def test_derivatives_match_finite_differences(self, n4_profile):
         h = 1e-6
@@ -86,6 +99,50 @@ class TestBuildPath:
                            x0=3.0, y0=-2.0, psi0=math.pi / 2.0)
         assert table.x[-1] == pytest.approx(3.0, abs=1e-12)
         assert table.y[-1] == pytest.approx(8.0, abs=1e-12)
+
+    @pytest.mark.parametrize("prof,kwargs", [
+        (CurvatureProfile.straight(), dict(length=1234.5)),
+        (CurvatureProfile.circle(200.0), {}),
+        (CurvatureProfile.circle(-80.0), {}),
+        (CurvatureProfile.periodic(4, 250.0), {}),
+        (CurvatureProfile.periodic(4, 50.0), {}),
+        (CurvatureProfile.periodic(3, 250.0), dict(step=0.05)),
+        (CurvatureProfile.periodic(5, 250.0), dict(step=0.07, length=900.0)),
+        (CurvatureProfile.periodic(4, 250.0),
+         dict(x0=3.0, y0=-2.0, psi0=0.7)),
+    ])
+    def test_matches_scalar_loop(self, prof, kwargs):
+        table = build_path(prof, **kwargs)
+        step = kwargs.pop("step", 0.1)
+        expected = frenet_table_by_loop(prof, step, **kwargs)
+        for name, col in zip(PathTable._COLUMNS, expected):
+            got = getattr(table, name)
+            assert got.shape == col.shape
+            assert np.max(np.abs(got - col)) <= 1e-12, name
+
+    @pytest.mark.parametrize("kwargs,key", [
+        (dict(step=0.0), "step"), (dict(step=-0.1), "step"),
+        (dict(step=math.nan), "step"), (dict(step=math.inf), "step"),
+        (dict(length=0.0), "length"), (dict(length=-5.0), "length"),
+        (dict(length=math.nan), "length"), (dict(length=math.inf), "length"),
+        (dict(length=1e17), "length"),
+        (dict(length=1e300, step=1e-300), "step"),
+        (dict(length=10.0, step=1e-9), "step"),
+        (dict(), "length"),
+    ])
+    def test_bad_step_or_length_names_the_key(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"key '{key}'"):
+            build_path(CurvatureProfile.straight(), **kwargs)
+
+    def test_step_cap(self, monkeypatch):
+        monkeypatch.setattr(path_module, "PATH_STEPS_MAX", 100)
+        at_cap = build_path(CurvatureProfile.straight(), step=1.0, length=100.0)
+        assert len(at_cap.s) == 101
+        with pytest.raises(ValueError, match="key 'length'"):
+            build_path(CurvatureProfile.straight(), step=1.0, length=101.0)
+        # a closed figure's length is its own, so its step is named
+        with pytest.raises(ValueError, match="key 'step'"):
+            build_path(CurvatureProfile.periodic(4, 250.0), step=1.0)
 
     def test_csv_round_trip(self, tmp_path, n4_table):
         dest = tmp_path / "path.csv"

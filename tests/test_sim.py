@@ -19,9 +19,9 @@ class CountingProfile(CurvatureProfile):
 
     calls: list = field(default_factory=list, compare=False)
 
-    def kappa(self, s):
+    def kappa(self, s, *cos):
         self.calls.append(s)
-        return super().kappa(s)
+        return super().kappa(s, *cos)
 
 
 class TestIntegrate:
