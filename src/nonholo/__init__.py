@@ -6,6 +6,8 @@ path coordinates, bounded nonlinear path-following and longitudinal
 controllers, linearized stability analysis, and a scenario simulator.
 """
 
+from types import ModuleType as _ModuleType
+
 from .params import ControlGains, VehicleParams, GRAVITY
 from .path import (CurvatureProfile, PathQuery, PathTable, build_path,
                    frame_rates, frame_rates_inverse, reconstruct_pose,
@@ -16,10 +18,10 @@ from .models import (ConstraintForces, DriveInput, Environment, Variant,
                      pseudo_velocity_determinant, resistance_pseudo_force)
 from .pathframe import TrackPoint, pathframe_rhs
 from .control import (DrivingForce, SteerCommand, WrapperSpec, driving_force,
-                      feedback_law, feedback_steer, feedforward_steer,
-                      longitudinal_accel, preview_max_curvature,
-                      steer_derivative_chain, steering_saturation,
-                      steering_torque, target_speed, wrapper, wrapper_deriv)
+                      feedback_law, feedforward_steer, longitudinal_accel,
+                      preview_max_curvature, steer_derivative_chain,
+                      steering_saturation, steering_torque, target_speed,
+                      wrapper, wrapper_deriv)
 from .analysis import (EquivalenceReport, EquivalenceScenario, LinearModel,
                        StabilityVerdict, kinematic_stability,
                        linearize_kinematic, linearize_longitudinal,
@@ -28,5 +30,8 @@ from .analysis import (EquivalenceReport, EquivalenceScenario, LinearModel,
 from .sim import (FIGURES, Scenario, SimTrace, integrate, named_scenario,
                   rk4_step, run_scenario)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; importing them also binds their submodules
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"

@@ -34,12 +34,6 @@ class LinearModel:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.A)
 
-    def max_real(self) -> float:
-        return float(np.max(self.eigenvalues().real))
-
-    def is_stable(self) -> bool:
-        return self.max_real() < 0.0
-
 
 @dataclass(frozen=True)
 class StabilityVerdict:

@@ -98,10 +98,10 @@ def cmd_simulate(args) -> int:
             return 2
         if args.dt:
             scenario = replace(scenario, dt=args.dt)
+        table = _build_table(scenario)   # --dump-config checks the path too
         if args.dump_config:
             print(dump_config(scenario), end="")
             return 0
-        table = _build_table(scenario)
     except NonClosure as exc:
         print(f"config error: path key 'step' = {scenario.path_step:g}: {exc}",
               file=sys.stderr)

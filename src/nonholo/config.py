@@ -7,37 +7,33 @@ Grammar (one item per line, ``#`` starts a comment):
         ...
     }
 
-Blocks: ``vehicle`` (keys of the flat parameter file), ``path`` (kind plus
-profile fields), ``controller`` (gains, law, wrapper index, look-ahead),
-``sim`` (model, timing, initial errors) and ``output``. Unknown blocks or
-keys are rejected; all units are SI. ``dump_config`` emits the canonical
-form, which re-parses to an identical scenario.
+Blocks: ``vehicle`` (the ``VehicleParams`` fields), ``path`` (kind plus
+profile fields), ``controller`` (mode, law, wrapper index and the
+``ControlGains`` fields), ``sim`` (model, timing, initial errors) and
+``output``. Unknown blocks or keys are rejected; all units are SI.
+``dump_config`` emits the canonical form, which re-parses to an identical
+scenario.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .errors import ConfigError
 from .models import Variant
-from .params import PARAM_KEYS, ControlGains, VehicleParams
+from .params import ControlGains, VehicleParams
 from .path import CurvatureProfile
 from .sim import MODE_MODELS, MODES, Scenario
 
+_VEHICLE_KEYS = tuple(f.name for f in fields(VehicleParams))
+_GAIN_KEYS = tuple(f.name for f in fields(ControlGains))
 _PATH_KEYS = ("kind", "radius", "kappa_max", "s_T", "N", "step", "length")
-_CONTROLLER_KEYS = ("mode", "law", "wrapper_n", "k1", "k2", "k_s", "T_sat",
-                    "k_a", "a_lat_max", "a_long_max", "v_max", "t_L",
-                    "preview_dist")
 _SIM_KEYS = ("model", "dt", "duration", "V", "e0", "theta0", "s0",
              "sigma1_0", "gamma0", "sigma2_0")
-_OUTPUT_KEYS = ("dir", "plot")
-_BLOCKS = {"vehicle": PARAM_KEYS, "path": _PATH_KEYS,
-           "controller": _CONTROLLER_KEYS, "sim": _SIM_KEYS,
-           "output": _OUTPUT_KEYS}
-
-_GAIN_KEYS = ("k1", "k2", "k_s", "T_sat", "k_a", "a_lat_max", "a_long_max",
-              "v_max", "t_L", "preview_dist")
+_BLOCKS = {"vehicle": _VEHICLE_KEYS, "path": _PATH_KEYS,
+           "controller": ("mode", "law", "wrapper_n", *_GAIN_KEYS),
+           "sim": _SIM_KEYS, "output": ("dir", "plot")}
 
 
 def parse_blocks(text: str, source: str = "<config>") -> dict[str, dict[str, str]]:
@@ -198,7 +194,7 @@ def dump_config(sc: Scenario, output: dict | None = None) -> str:
     """Canonical config text for a scenario; re-parses identically."""
     output = output or {"dir": "out", "plot": True}
     lines = ["vehicle {"]
-    for key in PARAM_KEYS:
+    for key in _VEHICLE_KEYS:
         lines.append(f"    {key} = {getattr(sc.params, key):.17g}")
     lines.append("}")
     lines.append("path {")
@@ -223,8 +219,7 @@ def dump_config(sc: Scenario, output: dict | None = None) -> str:
     lines.append("}")
     lines.append("sim {")
     lines.append(f"    model = {sc.variant.value}")
-    for key in ("dt", "duration", "V", "e0", "theta0", "s0",
-                "sigma1_0", "gamma0", "sigma2_0"):
+    for key in _SIM_KEYS[1:]:     # model is written above
         lines.append(f"    {key} = {getattr(sc, key):.17g}")
     lines.append("}")
     lines.append("output {")

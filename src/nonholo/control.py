@@ -98,7 +98,7 @@ def wrapper_deriv(spec: WrapperSpec, x: float) -> float:
 
 
 def feedforward_steer(kappa_ref: float, l: float) -> float:
-    """Steering angle that exactly traces curvature kappa_ref."""
+    """Steering angle that traces curvature kappa_ref; kept for the paper."""
     return math.atan(kappa_ref * l)
 
 
@@ -124,20 +124,6 @@ def feedback_law(gains: ControlGains, law: str = "wrapped",
     WrapperSpec(wrapper_n, 1.0)  # reject a bad index before the first call
     return lambda e, th, gsat: wrapper(WrapperSpec(wrapper_n, gsat),
                                        k1 * (th + math.atan(k2 * e)))
-
-
-def feedback_steer(e_C: float, theta_C: float, gains: ControlGains,
-                   gamma_sat: float | None = None, law: str = "wrapped",
-                   wrapper_n: float = 2) -> float:
-    """Feedback steering on the lateral and yaw errors; see :func:`feedback_law`."""
-    if law == "wrapped" and (gamma_sat is None or gamma_sat <= 0.0):
-        raise ValueError("wrapped law needs gamma_sat > 0")
-    return feedback_law(gains, law, wrapper_n)(e_C, theta_C, gamma_sat)
-
-
-def desired_heading(e_C: float, gains: ControlGains) -> float:
-    """Relative yaw the nonlinear law steers toward: -arctan(k2*e)."""
-    return -math.atan(gains.k2 * e_C)
 
 
 def steering_saturation(speed: float, gains: ControlGains,

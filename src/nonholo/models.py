@@ -310,19 +310,10 @@ class ConstraintForces:
     mu_R: float
     mu_F: float
 
-    @property
-    def lambda1(self) -> float:
-        return -self.F_R_lat
-
-    @property
-    def lambda2(self) -> float:
-        return -self.F_F_lat
-
 
 def constraining_forces(sigma1: float, gamma: float, gamma_dot: float,
                         gamma_ddot: float, F_R: float, F_F: float,
-                        params: VehicleParams,
-                        g: float = GRAVITY) -> ConstraintForces:
+                        params: VehicleParams) -> ConstraintForces:
     """Lateral forces that realize the no-slip constraints (skate force model).
 
     The force-to-weight ratios mu normalize by the static axle loads and
@@ -346,8 +337,8 @@ def constraining_forces(sigma1: float, gamma: float, gamma_dot: float,
                + m1 * m2 * sigma1 * gamma_dot / cg ** 3
                + m1 * J_F / l * gamma_ddot / cg) / D
               + m4 * sigma1 ** 2 * t / (l * cg))
-    mu_R = Ftil_R * l / (m1 * g * (l - d))
-    mu_F = Ftil_F * l / (m1 * g * d)
+    mu_R = Ftil_R * l / (m1 * GRAVITY * (l - d))
+    mu_F = Ftil_F * l / (m1 * GRAVITY * d)
     return ConstraintForces(Ftil_R, Ftil_F, mu_R, mu_F)
 
 
@@ -359,7 +350,7 @@ def drivetrain_split(F_res: float, beta: float) -> tuple[float, float]:
 
 
 def lateral_acceleration(speed: float, gamma: float, l: float) -> float:
-    """Lateral acceleration of the rear axle centre: speed^2 * tan(gamma) / l."""
+    """Rear-axle lateral acceleration V^2 tan(gamma)/l; kept for the paper."""
     _guard_gamma(gamma)
     return speed ** 2 * math.tan(gamma) / l
 

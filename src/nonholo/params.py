@@ -4,20 +4,16 @@ Defaults correspond to a compact passenger car (Kia Soul class). The skate
 masses ``m_R``/``m_F`` are the *effective* masses: when modelling rigid
 wheels of spin inertia I about a radius-r contact, the equivalent skate mass
 is m0 + I/r**2, and the same combined masses m1..m4 drive both model
-families. Use :func:`VehicleParams.from_raw_wheels` when starting from raw
-wheel masses.
+families.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 GRAVITY = 9.81
-
-PARAM_KEYS = ("l", "d", "m", "m_R", "m_F", "J_G", "J_R", "J_F",
-              "I_R", "I_F", "r", "gamma_max")
 
 
 @dataclass(frozen=True)
@@ -63,18 +59,6 @@ class VehicleParams:
     def m4(self) -> float:
         return self.m_F + self.d / self.l * self.m
 
-    @classmethod
-    def from_raw_wheels(cls, m_R0: float, m_F0: float, **kwargs) -> "VehicleParams":
-        """Build params from raw wheel masses, folding in the spin inertia."""
-        probe = cls(**kwargs)
-        return replace(probe,
-                       m_R=m_R0 + probe.I_R / probe.r ** 2,
-                       m_F=m_F0 + probe.I_F / probe.r ** 2)
-
-    def raw_wheel_masses(self) -> tuple[float, float]:
-        return (self.m_R - self.I_R / self.r ** 2,
-                self.m_F - self.I_F / self.r ** 2)
-
 
 @dataclass(frozen=True)
 class ControlGains:
@@ -98,32 +82,3 @@ class ControlGains:
         if self.t_L < 0.0:
             raise ValueError("t_L must be non-negative")
 
-
-def save_params(params: VehicleParams, path) -> None:
-    """Write a flat key=value parameter file (SI units)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in PARAM_KEYS:
-            fh.write(f"{key}={getattr(params, key):.17g}\n")
-
-
-def load_params(path) -> VehicleParams:
-    """Read a flat key=value parameter file written by :func:`save_params`."""
-    values: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in PARAM_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: duplicate parameter {key!r}")
-            values[key] = float(text)
-    missing = [k for k in PARAM_KEYS if k not in values]
-    if missing:
-        raise ValueError(f"{path}: missing parameters {missing}")
-    return VehicleParams(**values)

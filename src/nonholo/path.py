@@ -145,8 +145,6 @@ class PathQuery:
     psi_C: float     # path heading at the closest point
     kappa_C: float   # path curvature at the closest point
     theta_C: float   # relative yaw, wrapped to [-pi, pi)
-    x_C: float = 0.0
-    y_C: float = 0.0
 
 
 class PathTable:
@@ -294,7 +292,7 @@ class PathTable:
         else:
             s_out = s_star
         return PathQuery(s_C=s_out, e_C=e, psi_C=psic, kappa_C=kap,
-                         theta_C=theta, x_C=xc, y_C=yc)
+                         theta_C=theta)
 
     def _global_nearest(self, x: float, y: float) -> int:
         pts = self.x[:-1] if self.closed else self.x
@@ -361,12 +359,6 @@ class PathTable:
         write_csv(path, self._COLUMNS,
                   [getattr(self, name) for name in self._COLUMNS])
 
-    @classmethod
-    def from_csv(cls, path, closed: bool = False) -> "PathTable":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4],
-                   closed=closed)
-
 
 def _running_sum(start: float, steps) -> np.ndarray:
     """start, then start plus each step in turn, added left to right."""
@@ -425,7 +417,7 @@ def build_path(profile: CurvatureProfile, step: float = DEFAULT_STEP,
 
 def frame_rates(xdot: float, ydot: float, psidot: float,
                 query: PathQuery) -> tuple[float, float, float]:
-    """Map Earth-frame rates to path-frame rates (s_C', e_C', theta_C')."""
+    """Earth- to path-frame rates s_C', e_C', theta_C'; kept for the paper."""
     denom = 1.0 - query.kappa_C * query.e_C
     if abs(denom) < TUBE_EPS:
         raise TubeSingularity(
@@ -439,7 +431,7 @@ def frame_rates(xdot: float, ydot: float, psidot: float,
 
 def frame_rates_inverse(sdot: float, edot: float, thetadot: float,
                         query: PathQuery) -> tuple[float, float, float]:
-    """Map path-frame rates back to Earth-frame rates (x', y', psi')."""
+    """Path-frame to Earth-frame rates (x', y', psi'); kept for the paper."""
     c, s = math.cos(query.psi_C), math.sin(query.psi_C)
     factor = (1.0 - query.kappa_C * query.e_C) * sdot
     xdot = factor * c - edot * s

@@ -142,9 +142,9 @@ class SimTrace:
         return out
 
 
-def count_zero_crossings(e, dead_band: float = 1e-9) -> int:
-    """Sign changes of a signal, ignoring values inside the dead band."""
-    live = np.asarray(e)[np.abs(e) > dead_band]
+def count_zero_crossings(e) -> int:
+    """Sign changes of a signal, ignoring values within 1e-9 of zero."""
+    live = np.asarray(e)[np.abs(e) > 1e-9]
     if len(live) < 2:
         return 0
     return int(np.count_nonzero(np.diff(np.sign(live)) != 0))
@@ -168,9 +168,8 @@ def rk4_step(rhs, t: float, y, h: float, a=None):
             for i in range(n)]
 
 
-def integrate(rhs, y0, dt: float, duration: float, t0: float = 0.0,
-              rows: bool = False):
-    """Fixed-step RK4 over [t0, t0 + duration]; returns (t, states) arrays.
+def integrate(rhs, y0, dt: float, duration: float, rows: bool = False):
+    """Fixed-step RK4 over [0, duration]; returns (t, states) arrays.
 
     With ``rows``, ``rhs(t, y, True)`` must return ``(derivative, row)``
     and (t, states, rows) is returned: the row of each committed state is
@@ -182,12 +181,12 @@ def integrate(rhs, y0, dt: float, duration: float, t0: float = 0.0,
     y = list(y0)
     ts = np.empty(n_steps + 1)
     ys = np.empty((n_steps + 1, len(y)))
-    ts[0] = t0
+    ts[0] = 0.0
     ys[0] = y
     out = None
     try:
         for k in range(n_steps + 1):
-            t = t0 + k * dt
+            t = k * dt
             a = None
             if rows:
                 a, row = rhs(t, y, True)

@@ -20,7 +20,7 @@ import pytest
 
 from nonholo.analysis import (linearize_kinematic, stability_grid,
                               verify_equivalence)
-from nonholo.control import (WrapperSpec, driving_force, feedback_steer,
+from nonholo.control import (WrapperSpec, driving_force, feedback_law,
                              feedforward_steer, longitudinal_accel,
                              preview_max_curvature, steer_derivative_chain,
                              steering_saturation, steering_torque,
@@ -296,7 +296,7 @@ def test_plant_rows_are_the_model_rows(fig17, fig20):
         s, e, th, gam, s2 = _columns(fig17, i, ("s_C", "e_C", "theta_C",
                                                 "gamma", "sigma2"))
         gdes = feedforward_steer(sc.profile.kappa(s + sc.V * g.t_L), p.l) \
-            + feedback_steer(e, th, g, gamma_sat=gsat)
+            + feedback_law(g)(e, th, gsat)
         u = DriveInput(T_s=steering_torque(gam, gdes, g))
         y = _columns(fig17, i, ("x_G", "y_G", "psi")) + [gam, s2]
         assert loop(fig17.t[i], [s, e, th, gam, s2])[4] \

@@ -150,7 +150,7 @@ class TestRouthHurwitz:
 class TestSteeringLinearization:
     def test_table5_stable_at_zero_curvature(self, params, gains):
         model = linearize_steering(0.0, 20.0, params, gains)
-        assert model.max_real() < 0.0
+        assert np.max(model.eigenvalues().real) < 0.0
 
     def test_no_servo_gain_is_marginal(self, params, gains):
         from dataclasses import replace

@@ -6,7 +6,6 @@ from nonholo.config import _BLOCKS, dump_config, scenario_from_config
 from nonholo.control import LAWS
 from nonholo.errors import ConfigError
 from nonholo.models import Variant
-from nonholo.params import VehicleParams, load_params, save_params
 from nonholo.sim import MODES, named_scenario
 
 MINIMAL = """
@@ -120,18 +119,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="model"):
             scenario_from_config("sim {\n    model = wheel_torque_torque_steer\n}\n")
 
-    def test_param_file_round_trip(self, tmp_path):
-        params = VehicleParams(m=1500.0, r=0.31)
-        dest = tmp_path / "vehicle.par"
-        save_params(params, dest)
-        assert load_params(dest) == params
-
-    def test_param_file_rejects_unknown_key(self, tmp_path):
-        dest = tmp_path / "vehicle.par"
-        dest.write_text("l=2.5\nwheel=1\n")
-        with pytest.raises(ValueError, match="wheel"):
-            load_params(dest)
-
 
 class TestCli:
     def test_simulate_figure_no_plot(self, tmp_path, capsys):
@@ -237,6 +224,24 @@ class TestCli:
         sc, _ = scenario_from_config(text)
         assert sc.profile.N == 4
         assert sc.duration == 50.0
+
+    @pytest.mark.parametrize("text,key", [
+        ("path {\n    length = -5\n}\n", "length"),
+        ("path {\n    step = 0\n}\n", "step"),
+        # 1000 m at 1e-5 m is more than PATH_STEPS_MAX steps
+        ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
+         "    step = 1e-5\n}\n", "step"),
+    ])
+    def test_dump_config_bad_path_exit_2(self, tmp_path, capsys, text, key):
+        # --dump-config checks the path as a run does
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        rc = main(["simulate", "--config", str(cfg), "--dump-config",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"'{key}'" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

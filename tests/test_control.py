@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonholo.control import (WrapperSpec, desired_heading, driving_force,
-                             feedback_law, feedback_steer, feedforward_steer,
-                             longitudinal_accel, preview_max_curvature,
-                             steer_derivative_chain, steering_saturation,
-                             steering_torque, target_speed, wrapper,
-                             wrapper_deriv)
+from nonholo.control import (WrapperSpec, driving_force, feedback_law,
+                             feedforward_steer, longitudinal_accel,
+                             preview_max_curvature, steer_derivative_chain,
+                             steering_saturation, steering_torque,
+                             target_speed, wrapper, wrapper_deriv)
 from nonholo.models import DriveInput, Variant, eom_rhs
 from nonholo.params import ControlGains
 from nonholo.path import CurvatureProfile
@@ -87,14 +86,16 @@ class TestSteering:
 
     def test_all_laws_vanish_at_zero(self, gains):
         for law in ("linear", "nonlinear", "wrapped"):
-            assert feedback_steer(0.0, 0.0, gains, gamma_sat=0.1,
-                                  law=law) == 0.0
+            assert feedback_law(gains, law)(0.0, 0.0, 0.1) == 0.0
 
     def test_far_field_heading(self, gains):
-        assert desired_heading(1e12, gains) == pytest.approx(-math.pi / 2,
-                                                             abs=1e-9)
+        # the nonlinear law is zero at the heading -arctan(k2*e), which far
+        # from the path points straight across it
+        heading = -math.atan(gains.k2 * 1e12)
+        assert heading == pytest.approx(-math.pi / 2, abs=1e-9)
+        assert feedback_law(gains, "nonlinear")(1e12, heading, None) == 0.0
         gsat = 0.0257
-        far = feedback_steer(1e12, 0.0, gains, gamma_sat=gsat, law="wrapped")
+        far = feedback_law(gains, "wrapped")(1e12, 0.0, gsat)
         c = math.pi / (2 * gsat)
         expected = math.atan(c * gains.k1 * (0.0 + math.pi / 2)) / c
         assert far == pytest.approx(expected, abs=1e-6)
@@ -103,42 +104,36 @@ class TestSteering:
     def test_odd_symmetry(self, e, th):
         gains = ControlGains()
         for law in ("linear", "nonlinear", "wrapped"):
-            plus = feedback_steer(e, th, gains, gamma_sat=0.05, law=law)
-            minus = feedback_steer(-e, -th, gains, gamma_sat=0.05, law=law)
+            fb = feedback_law(gains, law)
+            plus = fb(e, th, 0.05)
+            minus = fb(-e, -th, 0.05)
             assert plus == pytest.approx(-minus, abs=1e-15)
 
     @given(e=st.floats(-1e6, 1e6), th=st.floats(-500.0, 500.0))
     def test_wrapped_strictly_inside_bound(self, e, th):
         gains = ControlGains()
-        out = feedback_steer(e, th, gains, gamma_sat=0.0257, law="wrapped")
+        out = feedback_law(gains, "wrapped")(e, th, 0.0257)
         assert abs(out) < 0.0257
 
     def test_wrapped_n2_strictly_inside_bound_when_saturated(self, gains,
                                                              rng):
         # the float arctan of a huge argument rounds to pi/2, which puts
         # the scaled value on or one ulp past gamma_sat for most bounds
+        fb = feedback_law(gains)
         for gsat in rng.uniform(1e-3, 1.0, 200):
-            out = feedback_steer(0.0, 1e300, gains, gamma_sat=gsat)
+            out = fb(0.0, 1e300, gsat)
             assert -gsat < out < -0.999 * gsat
-
-    def test_heading_sign_opposes_error(self, gains, rng):
-        for _ in range(50):
-            e = rng.uniform(-50.0, 50.0)
-            th = desired_heading(e, gains)
-            if e != 0.0:
-                assert math.copysign(1.0, th) == -math.copysign(1.0, e)
-            assert abs(th) < math.pi / 2
 
     def test_wrapped_deviates_from_linear_at_third_order(self, gains, rng):
         gsat = 0.5
+        wrapped = feedback_law(gains, "wrapped")
+        linear = feedback_law(gains, "linear")
         for _ in range(10):
             e0 = rng.uniform(-1.0, 1.0)
             th0 = rng.uniform(-0.5, 0.5)
             def diff(scale):
-                w = feedback_steer(scale * e0, scale * th0, gains,
-                                   gamma_sat=gsat, law="wrapped")
-                lin = feedback_steer(scale * e0, scale * th0, gains,
-                                     law="linear")
+                w = wrapped(scale * e0, scale * th0, gsat)
+                lin = linear(scale * e0, scale * th0, gsat)
                 return w - lin
             d1, d2 = diff(1e-2), diff(5e-3)
             if abs(d1) < 1e-16:

@@ -14,6 +14,12 @@ from oracles import frenet_table_by_loop
 KAPPA_N4 = 0.004 * math.pi
 
 
+def _read_csv(path, closed):
+    """A table read back from ``PathTable.to_csv``, as strided column views."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    return PathTable(*data.T, closed=closed)
+
+
 class TestCurvatureProfile:
     def test_periodic_zero_at_origin(self, n4_profile):
         assert n4_profile.kappa(0.0) == 0.0
@@ -149,7 +155,7 @@ class TestBuildPath:
         n4_table.to_csv(dest)
         header = dest.read_text().splitlines()[0]
         assert header == "s,x,y,psi,kappa"
-        back = PathTable.from_csv(dest, closed=True)
+        back = _read_csv(dest, closed=True)
         assert np.allclose(back.x, n4_table.x, atol=1e-9)
         assert np.allclose(back.psi, n4_table.psi, atol=1e-9)
 
@@ -317,7 +323,7 @@ def _csv_table(tmp_path):
     src = build_path(CurvatureProfile.periodic(3, 200.0))
     PathTable(src.s + 37.0, src.x, src.y, src.psi, src.kappa,
               closed=True).to_csv(tmp_path / "t.csv")
-    return PathTable.from_csv(tmp_path / "t.csv", closed=True)
+    return _read_csv(tmp_path / "t.csv", closed=True)
 
 
 @pytest.mark.parametrize("kind", ["open", "closed_seam", "clockwise", "csv"])

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import pytest
 
-from nonholo.control import (feedback_steer, steering_saturation,
+from nonholo.control import (feedback_law, steering_saturation,
                              steering_torque)
 from nonholo.errors import GuardTripped
 from nonholo.models import DriveInput, Variant, eom_rhs
@@ -214,7 +214,7 @@ class TestScenarios:
                      wrapper_n=n)
         trace = run_scenario(sc)
         gsat = steering_saturation(sc.V, sc.gains, sc.params)
-        got = [feedback_steer(e, th, sc.gains, gamma_sat=gsat, law=law,
-                              wrapper_n=n)
+        fb = feedback_law(sc.gains, law, n)
+        got = [fb(e, th, gsat)
                for e, th in zip(trace["e_C"], trace["theta_C"])]
         assert np.array_equal(got, trace["gamma_fb"])
