@@ -19,8 +19,6 @@ from .analysis import kinematic_stability, stability_grid
 from .config import dump_config, scenario_from_config
 from .control import WrapperSpec, wrapper, wrapper_deriv
 from .errors import ConfigError, GuardTripped, NonClosure, NonholoError
-from .models import (STATE_FIELDS, Variant, DriveInput, constraining_forces,
-                     constraint_residuals, eom_rhs)
 from .params import VehicleParams
 from .path import CurvatureProfile, PathTable, build_path, write_csv
 from .sim import (FIGURES, Scenario, SimTrace, _build_table, named_scenario,
@@ -28,9 +26,8 @@ from .sim import (FIGURES, Scenario, SimTrace, _build_table, named_scenario,
 from .svgplot import Panel, figure_panels
 
 
-def _out_dir(args) -> Path:
-    out = os.environ.get("NONHOLO_OUT") or args.out or "out"
-    path = Path(out)
+def _out_dir(out: str | None) -> Path:
+    path = Path(out or "out")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -79,16 +76,13 @@ def _print_summary(scenario: Scenario, trace: SimTrace) -> None:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
-    if args.figure == "randomcheck":
-        return _random_audit(args, out)
+    out = _out_dir(args.out)
     try:
         if args.config:
             text = Path(args.config).read_text(encoding="utf-8")
             scenario, output = scenario_from_config(text, source=args.config)
-            if not args.out and not os.environ.get("NONHOLO_OUT"):
-                out = Path(output["dir"])
-                out.mkdir(parents=True, exist_ok=True)
+            if not args.out:
+                out = _out_dir(output["dir"])
             if args.plot is None:
                 args.plot = output["plot"]
         elif args.figure:
@@ -96,7 +90,7 @@ def cmd_simulate(args) -> int:
         else:
             print("simulate needs --figure or --config", file=sys.stderr)
             return 2
-        if args.dt:
+        if args.dt is not None:
             scenario = replace(scenario, dt=args.dt)
         table = _build_table(scenario)   # --dump-config checks the path too
         if args.dump_config:
@@ -119,7 +113,7 @@ def cmd_simulate(args) -> int:
         return 2
     trace.to_csv(out / "trace.csv")
     _print_summary(scenario, trace)
-    if args.plot is None or args.plot:
+    if args.plot is not False:
         dest = _plot_trace(trace, scenario, table, out)
         print(f"wrote {out / 'trace.csv'} and {dest}")
     else:
@@ -127,79 +121,33 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _random_audit(args, out: Path) -> int:
-    """Randomized property audit: constraint residuals and force oracles."""
-    rng = np.random.default_rng(args.seed or 0)
-    params = VehicleParams()
-    worst_resid = 0.0
-    for variant in Variant:
-        if variant is Variant.SKATE_FORCE_LAGRANGE:
-            continue
-        for _ in range(200):
-            y, u, V = _random_state(rng, variant, params)
-            dy = eom_rhs(variant, y, u, params, V=V)
-            res = constraint_residuals(variant, y, dy, u, params, V=V)
-            worst_resid = max(worst_resid, float(np.max(np.abs(res))))
-    worst_mu = 0.0
-    for _ in range(200):
-        sigma1 = rng.uniform(2.0, 30.0)
-        gamma = rng.uniform(0.05, 0.5) * rng.choice([-1.0, 1.0])
-        forces = constraining_forces(sigma1, gamma, rng.uniform(-0.5, 0.5),
-                                     rng.uniform(-1.0, 1.0),
-                                     rng.uniform(-2000, 2000),
-                                     rng.uniform(-2000, 2000), params)
-        worst_mu = max(worst_mu, abs(forces.mu_R), abs(forces.mu_F))
-    print(f"randomcheck(seed={args.seed or 0}): max residual = {worst_resid:.3e}, "
-          f"max |mu| sampled = {worst_mu:.3f}")
-    ok = worst_resid < 1e-12
-    print("randomcheck:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
-
-
-def _random_state(rng, variant, params):
-    fields = STATE_FIELDS[variant]
-    y = []
-    for name in fields:
-        if name in ("x_G", "y_G"):
-            y.append(rng.uniform(-50, 50))
-        elif name in ("psi", "phi_R", "phi_F"):
-            y.append(rng.uniform(-math.pi, math.pi))
-        elif name == "gamma":
-            y.append(rng.uniform(-1.3, 1.3))
-        elif name.startswith("sigma1"):
-            y.append(rng.uniform(1.0, 30.0))
-        else:
-            y.append(rng.uniform(-1.0, 1.0))
-    gamma = rng.uniform(-1.3, 1.3)
-    kwargs = {}
-    if "gamma" not in fields:
-        kwargs["gamma"] = gamma
-        if not variant.constrained_speed:
-            kwargs["gamma_dot"] = rng.uniform(-0.5, 0.5)
-            kwargs["gamma_ddot"] = rng.uniform(-1.0, 1.0)
-    if variant.wheel:
-        if not variant.constrained_speed:
-            kwargs["T_R"] = rng.uniform(-500, 500)
-            kwargs["T_F"] = rng.uniform(-500, 500)
-    elif not variant.constrained_speed:
-        kwargs["F_R"] = rng.uniform(-2000, 2000)
-        kwargs["F_F"] = rng.uniform(-2000, 2000)
-    if "sigma2" in fields and "T_s" not in variant.forbidden:
-        kwargs["T_s"] = rng.uniform(-1.0, 1.0)
-    V = rng.uniform(5.0, 30.0) if variant.constrained_speed else None
-    return y, DriveInput(**kwargs), V
+def _stability_axes(args):
+    """The k1 and k2 axes and the kappa* values; ValueError names the flag."""
+    axes = []
+    for flag, (lo, hi, n) in (("--k1", args.k1), ("--k2", args.k2)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{flag}: MIN and MAX must be finite")
+        if not (1 <= n < math.inf and n == int(n)):
+            raise ValueError(f"{flag}: N = {n:g} is not a positive integer")
+        axes.append(np.linspace(lo, hi, int(n)))
+    try:
+        kappas = [float(v) for v in args.kappa.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--kappa: {exc}") from None
+    if not all(map(math.isfinite, kappas)):
+        raise ValueError("--kappa: every kappa* must be finite")
+    if not 0.0 < args.speed < math.inf:
+        raise ValueError(f"--speed: {args.speed:g} is not finite and > 0; "
+                         "the Routh-Hurwitz criterion assumes V > 0")
+    return (*axes, kappas)
 
 
 def cmd_stability(args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     try:
-        k1 = np.linspace(args.k1[0], args.k1[1], int(args.k1[2]))
-        k2 = np.linspace(args.k2[0], args.k2[1], int(args.k2[2]))
-        kappas = [float(v) for v in args.kappa.split(",")]
-        if len(k1) < 1 or len(k2) < 1:
-            raise ValueError("empty grid")
-    except (ValueError, IndexError) as exc:
-        print(f"bad grid ranges: {exc}", file=sys.stderr)
+        k1, k2, kappas = _stability_axes(args)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     params = VehicleParams()
     dest = out / "stability.csv"
@@ -266,7 +214,7 @@ def _sweep_item(param: str, v: float, base: Scenario | None, s_T: float):
 
 
 def cmd_sweep(args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     if args.param not in SWEEP_PARAMS:
         print(f"unknown sweep parameter {args.param!r}; "
               f"expected one of {SWEEP_PARAMS}", file=sys.stderr)
@@ -281,7 +229,7 @@ def cmd_sweep(args) -> int:
         try:
             base = named_scenario(
                 args.figure or ("fig17" if args.param == "t_L" else "fig20"),
-                dt=args.dt or 1e-3)
+                dt=1e-3 if args.dt is None else args.dt)
         except ValueError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
@@ -349,7 +297,7 @@ def _sweep_paths(paths, out: Path) -> int:
 
 
 def cmd_path(args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     try:
         if args.kind == "straight":
             profile = CurvatureProfile.straight()
@@ -366,7 +314,7 @@ def cmd_path(args) -> int:
     closed = "closed" if table.closed else "open"
     print(f"wrote {dest}: {len(table.s)} samples, length {table.length:.2f} m, "
           f"{closed}")
-    if args.plot is None or args.plot:
+    if args.plot is not False:
         panel = Panel("path", "x [m]", "y [m]", equal_aspect=True)
         panel.add(args.kind, table.x, table.y)
         figure_panels([panel], out / "path.svg", columns=1)
@@ -381,24 +329,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "path-following control")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="output directory (default: out, "
-                                     "override with NONHOLO_OUT)")
+    # each subcommand registers only the flags it reads
+    def out_flag(p):
+        p.add_argument("--out", help="output directory (default: out)")
+
+    def dt_flag(p):
         p.add_argument("--dt", type=float, help="integration step [s]")
-        p.add_argument("--seed", type=int,
-                       help="seed for the randomized property checks")
+
+    def plot_flags(p):
         p.add_argument("--plot", action="store_true", default=None,
-                       dest="plot", help="emit SVG plots (default)")
+                       help="emit SVG plots (default)")
         p.add_argument("--no-plot", action="store_false", dest="plot",
                        help="skip SVG plots")
 
     p_sim = sub.add_parser("simulate", help="run a scenario or named figure")
-    p_sim.add_argument("--figure", choices=list(FIGURES) + ["randomcheck"],
-                       help="named scenario")
+    p_sim.add_argument("--figure", choices=FIGURES, help="named scenario")
     p_sim.add_argument("--config", help="scenario config file")
     p_sim.add_argument("--dump-config", action="store_true",
                        help="print the canonical config and exit")
-    common(p_sim)
+    out_flag(p_sim)
+    dt_flag(p_sim)
+    plot_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_st = sub.add_parser("stability", help="criterion vs eigenvalue map")
@@ -409,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_st.add_argument("--kappa", default="0,0.005,0.012566370614359173",
                       help="comma-separated kappa* values")
     p_st.add_argument("--speed", type=float, default=20.0)
-    common(p_st)
+    out_flag(p_st)
     p_st.set_defaults(func=cmd_stability)
 
     p_sw = sub.add_parser("sweep", help="parameter sweeps")
@@ -420,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--figure", help="base scenario for trace sweeps")
     p_sw.add_argument("--s-T", dest="s_T", type=float, default=250.0,
                       help="period for N sweeps")
-    common(p_sw)
+    out_flag(p_sw)
+    dt_flag(p_sw)
     p_sw.set_defaults(func=cmd_sweep)
 
     p_pa = sub.add_parser("path", help="generate and export a path")
@@ -431,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pa.add_argument("--radius", type=float, default=200.0)
     p_pa.add_argument("--length", type=float)
     p_pa.add_argument("--step", type=float, default=0.1)
-    common(p_pa)
+    out_flag(p_pa)
+    plot_flags(p_pa)
     p_pa.set_defaults(func=cmd_path)
     return parser
 

@@ -9,7 +9,7 @@ Grammar (one item per line, ``#`` starts a comment):
 
 Blocks: ``vehicle`` (the ``VehicleParams`` fields), ``path`` (kind plus
 profile fields), ``controller`` (mode, law, wrapper index and the
-``ControlGains`` fields), ``sim`` (model, timing, initial errors) and
+``ControlGains`` fields), ``sim`` (timing, speed, initial state) and
 ``output``. Unknown blocks or keys are rejected; all units are SI.
 ``dump_config`` emits the canonical form, which re-parses to an identical
 scenario.
@@ -18,19 +18,17 @@ scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .errors import ConfigError
-from .models import Variant
 from .params import ControlGains, VehicleParams
 from .path import CurvatureProfile
-from .sim import MODE_MODELS, MODES, Scenario
+from .sim import MODES, Scenario
 
 _VEHICLE_KEYS = tuple(f.name for f in fields(VehicleParams))
 _GAIN_KEYS = tuple(f.name for f in fields(ControlGains))
-_PATH_KEYS = ("kind", "radius", "kappa_max", "s_T", "N", "step", "length")
-_SIM_KEYS = ("model", "dt", "duration", "V", "e0", "theta0", "s0",
-             "sigma1_0", "gamma0", "sigma2_0")
+_PATH_KEYS = ("kind", "radius", "s_T", "N", "step", "length")
+_SIM_KEYS = ("dt", "duration", "V", "e0", "theta0", "s0", "gamma0", "sigma2_0")
 _BLOCKS = {"vehicle": _VEHICLE_KEYS, "path": _PATH_KEYS,
            "controller": ("mode", "law", "wrapper_n", *_GAIN_KEYS),
            "sim": _SIM_KEYS, "output": ("dir", "plot")}
@@ -87,20 +85,13 @@ def _floats(block: dict[str, str], source: str) -> dict[str, float]:
     return out
 
 
-def _profile_from(block: dict[str, str], source: str) -> CurvatureProfile:
-    kind = block.get("kind", "straight")
-    vals = _floats({k: v for k, v in block.items()
-                    if k not in ("kind",)}, source)
+def _profile_from(kind: str, vals: dict[str, float],
+                  source: str) -> CurvatureProfile:
     if kind == "straight":
         return CurvatureProfile.straight()
     if kind == "circle":
         if "radius" in vals:
             return CurvatureProfile.circle(vals["radius"])
-        if "kappa_max" in vals:
-            if vals["kappa_max"] == 0.0:
-                raise ConfigError(f"{source}: key 'kappa_max': a circle "
-                                  f"needs a nonzero curvature")
-            return CurvatureProfile.circle(1.0 / vals["kappa_max"])
         raise ConfigError(f"{source}: circle path needs key 'radius'")
     if kind == "periodic":
         try:
@@ -110,80 +101,48 @@ def _profile_from(block: dict[str, str], source: str) -> CurvatureProfile:
             raise ConfigError(f"{source}: periodic path needs key {exc}") from exc
         if N != int(N):
             raise ConfigError(f"{source}: key 'N': {N:g} is not an integer")
-        N = int(N)
-        if "kappa_max" in vals:
-            prof = CurvatureProfile(kind="periodic", kappa_max=vals["kappa_max"],
-                                    s_T=s_T, N=N)
-        else:
-            prof = CurvatureProfile.periodic(N, s_T)
-        return prof
+        return CurvatureProfile.periodic(int(N), s_T)
     raise ConfigError(f"{source}: unknown path kind {kind!r}")
 
 
 def scenario_from_config(text: str, source: str = "<config>") -> tuple[Scenario, dict]:
     """Parse a config into a Scenario plus the output-block settings."""
     blocks = parse_blocks(text, source)
-    params = VehicleParams()
-    if "vehicle" in blocks:
-        params = VehicleParams(**_floats(blocks["vehicle"], source))
+    params = VehicleParams(**_floats(blocks.get("vehicle", {}), source))
 
-    gains = ControlGains()
-    law, wrapper_n, mode = "wrapped", 2, "steer_only"
-    if "controller" in blocks:
-        cb = dict(blocks["controller"])
-        mode = cb.pop("mode", mode)
-        law = cb.pop("law", law)
-        wrapper_text = cb.pop("wrapper_n", None)
-        if wrapper_text is not None:
-            try:
-                wrapper_n = math.inf if wrapper_text == "inf" \
-                    else int(wrapper_text)
-            except ValueError as exc:
-                raise ConfigError(f"{source}: key 'wrapper_n': expected an "
-                                  f"integer or inf, got {wrapper_text!r}") from exc
-        gains = replace(gains, **_floats(cb, source))
+    cb = dict(blocks.get("controller", {}))
+    mode = cb.pop("mode", "steer_only")
+    law = cb.pop("law", "wrapped")
+    wrapper_text = cb.pop("wrapper_n", "2")
+    try:
+        wrapper_n = math.inf if wrapper_text == "inf" else int(wrapper_text)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: key 'wrapper_n': expected an "
+                          f"integer or inf, got {wrapper_text!r}") from exc
+    gains = ControlGains(**_floats(cb, source))
     if mode not in MODES:
         raise ConfigError(f"{source}: key 'mode': unknown mode {mode!r}")
 
-    profile = CurvatureProfile.straight()
-    path_step, path_length = 0.1, None
-    if "path" in blocks:
-        profile = _profile_from(blocks["path"], source)
-        pv = _floats({k: v for k, v in blocks["path"].items()
-                      if k in ("step", "length")}, source)
-        path_step = pv.get("step", 0.1)
-        path_length = pv.get("length")
+    path = dict(blocks.get("path", {}))
+    kind = path.pop("kind", "straight")
+    path_vals = _floats(path, source)
+    profile = _profile_from(kind, path_vals, source)
 
-    sim_kwargs: dict = {}
-    if "sim" in blocks:
-        sb = dict(blocks["sim"])
-        model = sb.pop("model", None)
-        if model is not None:
-            try:
-                variant = Variant(model)
-            except ValueError as exc:
-                raise ConfigError(f"{source}: unknown model {model!r}") from exc
-            if variant is not MODE_MODELS[mode]:
-                raise ConfigError(
-                    f"{source}: key 'model': mode {mode!r} runs "
-                    f"{MODE_MODELS[mode].value!r}, not {model!r}")
-        sim_kwargs = _floats(sb, source)
+    sim_kwargs = _floats(blocks.get("sim", {}), source)
     duration = sim_kwargs.pop("duration", 30.0)
 
-    output = {"dir": "out", "plot": True}
-    if "output" in blocks:
-        ob = blocks["output"]
-        output["dir"] = ob.get("dir", "out")
-        plot_text = ob.get("plot", "true").lower()
-        if plot_text not in ("true", "false"):
-            raise ConfigError(f"{source}: key 'plot': expected true/false")
-        output["plot"] = plot_text == "true"
+    ob = blocks.get("output", {})
+    plot_text = ob.get("plot", "true").lower()
+    if plot_text not in ("true", "false"):
+        raise ConfigError(f"{source}: key 'plot': expected true/false")
+    output = {"dir": ob.get("dir", "out"), "plot": plot_text == "true"}
 
     try:
         scenario = Scenario(name="config", profile=profile, mode=mode,
                             duration=duration, params=params,
                             gains=gains, law=law, wrapper_n=wrapper_n,
-                            path_step=path_step, path_length=path_length,
+                            path_step=path_vals.get("step", 0.1),
+                            path_length=path_vals.get("length"),
                             **sim_kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
@@ -204,7 +163,6 @@ def dump_config(sc: Scenario, output: dict | None = None) -> str:
     elif sc.profile.kind == "periodic":
         lines.append(f"    N = {sc.profile.N}")
         lines.append(f"    s_T = {sc.profile.s_T:.17g}")
-        lines.append(f"    kappa_max = {sc.profile.kappa_max:.17g}")
     lines.append(f"    step = {sc.path_step:.17g}")
     if sc.path_length is not None:
         lines.append(f"    length = {sc.path_length:.17g}")
@@ -218,8 +176,7 @@ def dump_config(sc: Scenario, output: dict | None = None) -> str:
         lines.append(f"    {key} = {getattr(sc.gains, key):.17g}")
     lines.append("}")
     lines.append("sim {")
-    lines.append(f"    model = {sc.variant.value}")
-    for key in _SIM_KEYS[1:]:     # model is written above
+    for key in _SIM_KEYS:
         lines.append(f"    {key} = {getattr(sc, key):.17g}")
     lines.append("}")
     lines.append("output {")

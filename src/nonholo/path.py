@@ -22,7 +22,7 @@ import numpy as np
 from .errors import AmbiguousProjection, NonClosure, TubeSingularity
 
 DEFAULT_STEP = 0.1
-PATH_STEPS_MAX = 2_000_000  # a build peaks near 140 bytes a step, 0.3 GB at the cap
+PATH_STEPS_MAX = 2_000_000  # a build peaks near 112 bytes a step, 0.22 GB at the cap
 TUBE_EPS = 1e-9
 CLOSURE_RTOL = 1e-6
 _TIE_DIST = 1e-9          # equidistance tolerance for ambiguity detection
@@ -150,18 +150,22 @@ class PathQuery:
 class PathTable:
     """Arc-length sampled path with pose lookup and closest-point projection.
 
-    Immutable after construction: the arrays are read-only copies of the
-    inputs, so the caller may go on writing its own; queries are re-entrant.
-    A lookup at a non-finite s raises ValueError naming s.
+    Immutable after construction: the arrays are read-only. A read-only
+    float array that owns its memory, as :func:`build_path` hands over, is
+    kept as it is; anything else is copied, so the caller may go on writing
+    its own. Queries are re-entrant. A lookup at a non-finite s raises
+    ValueError naming s.
     """
 
     _COLUMNS = ("s", "x", "y", "psi", "kappa")
 
     def __init__(self, s, x, y, psi, kappa, closed: bool):
         for name, col in zip(self._COLUMNS, (s, x, y, psi, kappa)):
-            arr = np.array(col, dtype=float)
-            arr.flags.writeable = False
-            setattr(self, name, arr)
+            if not (isinstance(col, np.ndarray) and col.dtype == float
+                    and col.base is None and not col.flags.writeable):
+                col = np.array(col, dtype=float)
+                col.flags.writeable = False
+            setattr(self, name, col)
         if not (len(self.s) == len(self.x) == len(self.y)
                 == len(self.psi) == len(self.kappa)):
             raise ValueError("sample arrays must have equal length")
@@ -410,6 +414,8 @@ def build_path(profile: CurvatureProfile, step: float = DEFAULT_STEP,
 
     closed = profile.kind in ("circle", "periodic") and \
         abs(length - (profile.natural_length() or -1.0)) <= 1e-9 * length
+    for col in (s, x, y, psi, kap):
+        col.flags.writeable = False     # so that PathTable keeps, not copies
     return PathTable(s, x, y, psi, kap, closed=closed)
 
 

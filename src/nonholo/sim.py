@@ -50,11 +50,10 @@ class Scenario:
     mode: str
     duration: float
     dt: float = 1e-3
-    V: float = 20.0
+    V: float = 20.0      # speed at t = 0, held in the constant-speed modes
     e0: float = 0.0
     theta0: float = 0.0
     s0: float = 0.0
-    sigma1_0: float = 20.0
     gamma0: float = 0.0
     sigma2_0: float = 0.0
     path_length: float | None = None
@@ -83,9 +82,12 @@ class Scenario:
         if longitudinal and (self.law, self.wrapper_n) != ("wrapped", 2):
             raise ValueError("key 'law': steer_longitudinal needs the wrapped "
                              "law with wrapper_n = 2")
-        if self.mode != "steer_torque" and self.gains.t_L != 0.0:
-            raise ValueError(f"key 't_L': {self.mode} needs t_L = 0; "
-                             "look-ahead applies to steer_torque")
+        if self.mode != "steer_torque":
+            for key, value in (("t_L", self.gains.t_L), ("gamma0", self.gamma0),
+                               ("sigma2_0", self.sigma2_0)):
+                if value != 0.0:
+                    raise ValueError(f"key '{key}': {self.mode} needs {key} = 0; "
+                                     "only steer_torque reads it")
         kappa0 = self.profile.kappa(self.s0)
         if abs(kappa0 * self.e0) >= 1.0:
             raise ValueError("initial state outside the curvature tube")
@@ -289,7 +291,7 @@ def _make_loop(sc: Scenario):
                     v_des, s1 * s1 * tg / l, F.iota, F.a1, F.a2,
                     forces.mu_R, forces.mu_F)
 
-    return [sc.s0, sc.e0, sc.theta0, sc.sigma1_0], steer_longitudinal, (
+    return [sc.s0, sc.e0, sc.theta0, sc.V], steer_longitudinal, (
         "gamma", "sigma1", "gamma_des", "gamma_ff", "gamma_fb", "F_R",
         "a_des", "v_des", "a_lat", "iota", "a1", "a2", "mu_R", "mu_F")
 
@@ -298,7 +300,7 @@ def _build_table(sc: Scenario) -> PathTable:
     length = sc.path_length
     if length is None and sc.profile.kind == "straight":
         # the speed schedule may run up to v_max, above the initial speed
-        speed = max(sc.sigma1_0, sc.gains.v_max) \
+        speed = max(sc.V, sc.gains.v_max) \
             if sc.mode == "steer_longitudinal" else sc.V
         length = max(sc.s0, 0.0) + speed * sc.duration * 1.1 + 100.0
     return build_path(sc.profile, step=sc.path_step, length=length)
@@ -399,13 +401,13 @@ def named_scenario(name: str, params: VehicleParams | None = None,
                         e0=-10.0, **base)
     if name == "fig20":
         return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
-                        mode="steer_longitudinal", duration=60.0,
-                        e0=-10.0, sigma1_0=20.0, **base)
+                        mode="steer_longitudinal", duration=60.0, V=20.0,
+                        e0=-10.0, **base)
     if name == "fig21":
         base["gains"] = replace(gains, a_lat_max=12.0)
         return Scenario(name=name, profile=CurvatureProfile.periodic(4, 50.0),
-                        mode="steer_longitudinal", duration=30.0,
-                        e0=-10.0, sigma1_0=20.0, **base)
+                        mode="steer_longitudinal", duration=30.0, V=20.0,
+                        e0=-10.0, **base)
     raise ValueError(f"unknown scenario {name!r}; known: {sorted(FIGURES)}")
 
 

@@ -6,7 +6,7 @@ from nonholo.config import _BLOCKS, dump_config, scenario_from_config
 from nonholo.control import LAWS
 from nonholo.errors import ConfigError
 from nonholo.models import Variant
-from nonholo.sim import MODES, named_scenario
+from nonholo.sim import MODES, named_scenario, run_scenario
 
 MINIMAL = """
 path {
@@ -19,7 +19,6 @@ controller {
     k2 = 0.03
 }
 sim {
-    model = skate_kinematic
     duration = 5
     e0 = -3
 }
@@ -41,7 +40,6 @@ _WORDS = {
     "mode": [*MODES, "bogus"],
     "law": [*LAWS, "bogus"],
     "wrapper_n": ["2", "3", "inf", "1", "1001", "-inf", "nan", "2.5", "x"],
-    "model": [v.value for v in Variant] + ["bogus"],
     "plot": ["true", "false", "maybe"],
     "dir": ["results"],
 }
@@ -113,11 +111,14 @@ class TestConfig:
                             ("steer_torque", "skate_torque_steer"),
                             ("steer_longitudinal", "skate_force")):
             sc, _ = scenario_from_config(
-                f"controller {{\n    mode = {mode}\n}}\n"
-                f"sim {{\n    model = {model}\n}}\n")
+                f"controller {{\n    mode = {mode}\n}}\n")
             assert sc.variant is Variant(model)
-        with pytest.raises(ConfigError, match="model"):
-            scenario_from_config("sim {\n    model = wheel_torque_torque_steer\n}\n")
+
+    def test_steer_longitudinal_starts_at_V(self):
+        sc, _ = scenario_from_config(
+            "controller {\n    mode = steer_longitudinal\n}\n"
+            "sim {\n    V = 25\n    duration = 0.1\n    dt = 0.01\n}\n")
+        assert run_scenario(sc)["sigma1"][0] == 25.0
 
 
 class TestCli:
@@ -156,7 +157,17 @@ class TestCli:
     @pytest.mark.parametrize("text,key", [
         ("sim {\n    duration = nan\n}\n", "duration"),
         ("controller {\n    wrapper_n = nan\n}\n", "wrapper_n"),
+        # no key with a single legal value, a derived value or no effect
         ("sim {\n    model = wheel_torque_torque_steer\n}\n", "model"),
+        ("sim {\n    model = skate_kinematic\n}\n", "model"),
+        ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
+         "    kappa_max = 0.012566370614359173\n}\n", "kappa_max"),
+        ("path {\n    kind = circle\n    kappa_max = 0.005\n}\n", "kappa_max"),
+        ("sim {\n    sigma1_0 = 20\n}\n", "sigma1_0"),
+        ("sim {\n    gamma0 = 0.1\n}\n", "gamma0"),
+        ("sim {\n    sigma2_0 = 0.1\n}\n", "sigma2_0"),
+        ("controller {\n    mode = steer_longitudinal\n}\n"
+         "sim {\n    gamma0 = 0.1\n}\n", "gamma0"),
         ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
          "    step = 60\n}\n", "step"),
         ("controller {\n    law = bogus\n}\n", "law"),
@@ -257,12 +268,28 @@ class TestCli:
             # the canonical text parses back to itself
             assert dump_config(scenario_from_config(out)[0]) == out
 
-    def test_env_var_overrides_out(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("NONHOLO_OUT", str(tmp_path / "envdir"))
-        rc = main(["simulate", "--figure", "fig13", "--no-plot",
-                   "--dt", "0.01"])
-        assert rc == 0
-        assert (tmp_path / "envdir" / "trace.csv").exists()
+    @pytest.mark.parametrize("argv,word", [
+        (["stability", "--dt", "1"], "--dt"),
+        (["stability", "--no-plot"], "--no-plot"),
+        (["path", "--dt", "1"], "--dt"),
+        (["sweep", "--param", "t_L", "--values", "0", "--no-plot"],
+         "--no-plot"),
+        (["simulate", "--figure", "fig13", "--seed", "7"], "--seed"),
+        (["simulate", "--figure", "randomcheck"], "randomcheck"),
+    ])
+    def test_unread_flags_exit_2(self, tmp_path, capsys, argv, word):
+        # a subcommand registers only the flags it reads
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert word in capsys.readouterr().err
+
+    def test_simulate_dt_zero_exit_2(self, tmp_path, capsys):
+        rc = main(["simulate", "--figure", "fig13", "--dt", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "'dt'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_stability_map(self, tmp_path, capsys):
         rc = main(["stability", "--k1", "-2", "0.5", "12", "--k2", "-0.05",
@@ -287,6 +314,28 @@ class TestCli:
         rc = main(["stability", "--kappa", "zero", "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--k1", "-2", "0.5", "inf"], "--k1"),
+        (["--k1", "-2", "0.5", "nan"], "--k1"),
+        (["--k1", "-2", "nan", "5"], "--k1"),
+        (["--k2", "-0.05", "inf", "5"], "--k2"),
+        (["--k2", "-0.05", "0.1", "0"], "--k2"),
+        (["--k2", "-0.05", "0.1", "2.5"], "--k2"),
+        (["--kappa", "nan"], "--kappa"),
+        (["--kappa", "0,inf"], "--kappa"),
+        (["--speed", "nan"], "--speed"),
+        (["--speed", "inf"], "--speed"),
+        (["--speed", "0"], "--speed"),
+        (["--speed", "-20"], "--speed"),
+    ])
+    def test_stability_bad_input_exit_2(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        rc = main(["stability", *argv, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
     def test_sweep_unknown_param_exit_2(self, tmp_path, capsys):
         rc = main(["sweep", "--param", "bogus", "--values", "1",
                    "--out", str(tmp_path)])
@@ -303,6 +352,7 @@ class TestCli:
         # 4 * 600 km at the default step is more table than the cap allows
         (["--param", "s_T", "--values", "250,600000"], "s_T"),
         (["--param", "N", "--values", "4", "--s-T", "600000"], "N"),
+        (["--param", "t_L", "--values", "0", "--dt", "0"], "dt"),
     ])
     def test_sweep_bad_scenario_exit_2(self, tmp_path, capsys, argv, key):
         rc = main(["sweep", *argv, "--out", str(tmp_path)])
@@ -372,9 +422,3 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"key '{key}'" in err and "Traceback" not in err
         assert not any(out.iterdir())
-
-    def test_randomcheck(self, tmp_path, capsys):
-        rc = main(["simulate", "--figure", "randomcheck", "--seed", "7",
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        assert "PASS" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,28 @@ class TestTableArrays:
         table = build_path(CurvatureProfile.straight(), length=10.0)
         table.pose_at_many(np.linspace(0.0, 10.0, 7))
         assert "_floats" not in vars(table)
+
+    def test_read_only_view_is_copied(self):
+        # a read-only view does not freeze the array under it
+        s = np.arange(11) * 0.5
+        x = s.copy()
+        view = x.view()
+        view.flags.writeable = False
+        table = PathTable(s, view, np.zeros(11), np.zeros(11), np.zeros(11),
+                          closed=False)
+        x[:] = 7.0
+        assert table.x[3] == 1.5
+
+    def test_build_keeps_its_columns(self):
+        # the five fresh columns go into the table as they are, so the peak
+        # holds no second copy of them (40 bytes a step)
+        tracemalloc.start()
+        try:
+            table = build_path(CurvatureProfile.periodic(4, 250.0), step=0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (len(table.s) - 1) < 128
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
