@@ -224,6 +224,16 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"bad values: {exc}", file=sys.stderr)
         return 2
+    # the flags each sweep reads; any other given exits 2 naming it
+    reads = {"t_L": ("--figure", "--dt"), "a_lat_max": ("--figure", "--dt"),
+             "N": ("--s-T",)}.get(args.param, ())
+    for flag, value in (("--figure", args.figure), ("--dt", args.dt),
+                        ("--s-T", args.s_T)):
+        if value is not None and flag not in reads:
+            print(f"config error: {flag}: sweep --param {args.param} does "
+                  "not read it", file=sys.stderr)
+            return 2
+    s_T = 250.0 if args.s_T is None else args.s_T
     base = None
     if args.param in ("t_L", "a_lat_max"):
         try:
@@ -236,7 +246,7 @@ def cmd_sweep(args) -> int:
     items = []
     for v in values:
         try:
-            items.append(_sweep_item(args.param, v, base, args.s_T))
+            items.append(_sweep_item(args.param, v, base, s_T))
         except ValueError as exc:
             print(f"config error: --param '{args.param}' value {v:g}: {exc}",
                   file=sys.stderr)
@@ -298,13 +308,23 @@ def _sweep_paths(paths, out: Path) -> int:
 
 def cmd_path(args) -> int:
     out = _out_dir(args.out)
+    for flag, value, kind in (("--N", args.N, "periodic"),
+                              ("--s-T", args.s_T, "periodic"),
+                              ("--radius", args.radius, "circle")):
+        if value is not None and args.kind != kind:
+            print(f"path error: {flag}: only a {kind} path reads it, not a "
+                  f"{args.kind} path", file=sys.stderr)
+            return 2
     try:
         if args.kind == "straight":
             profile = CurvatureProfile.straight()
         elif args.kind == "circle":
-            profile = CurvatureProfile.circle(args.radius)
+            profile = CurvatureProfile.circle(
+                200.0 if args.radius is None else args.radius)
         else:
-            profile = CurvatureProfile.periodic(args.N, args.s_T)
+            profile = CurvatureProfile.periodic(
+                4 if args.N is None else args.N,
+                250.0 if args.s_T is None else args.s_T)
         table = build_path(profile, step=args.step, length=args.length)
     except (ValueError, NonholoError) as exc:
         print(f"path error: {exc}", file=sys.stderr)
@@ -369,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--values", required=True,
                       help="comma-separated values")
     p_sw.add_argument("--figure", help="base scenario for trace sweeps")
-    p_sw.add_argument("--s-T", dest="s_T", type=float, default=250.0,
-                      help="period for N sweeps")
+    p_sw.add_argument("--s-T", dest="s_T", type=float,
+                      help="period for N sweeps (default 250)")
     out_flag(p_sw)
     dt_flag(p_sw)
     p_sw.set_defaults(func=cmd_sweep)
@@ -378,9 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_pa = sub.add_parser("path", help="generate and export a path")
     p_pa.add_argument("--kind", choices=("straight", "circle", "periodic"),
                       default="periodic")
-    p_pa.add_argument("--N", type=int, default=4)
-    p_pa.add_argument("--s-T", dest="s_T", type=float, default=250.0)
-    p_pa.add_argument("--radius", type=float, default=200.0)
+    p_pa.add_argument("--N", type=int, help="periodic corners (default 4)")
+    p_pa.add_argument("--s-T", dest="s_T", type=float,
+                      help="periodic period (default 250)")
+    p_pa.add_argument("--radius", type=float, help="circle radius (default 200)")
     p_pa.add_argument("--length", type=float)
     p_pa.add_argument("--step", type=float, default=0.1)
     out_flag(p_pa)

@@ -85,24 +85,33 @@ def _floats(block: dict[str, str], source: str) -> dict[str, float]:
     return out
 
 
+# the path keys that only one kind of profile reads
+_KIND_KEYS = {"radius": "circle", "N": "periodic", "s_T": "periodic"}
+
+
 def _profile_from(kind: str, vals: dict[str, float],
                   source: str) -> CurvatureProfile:
+    if kind not in ("straight", "circle", "periodic"):
+        raise ConfigError(f"{source}: unknown path kind {kind!r}")
+    for key in vals:
+        if _KIND_KEYS.get(key, kind) != kind:
+            raise ConfigError(f"{source}: key {key!r}: only a "
+                              f"{_KIND_KEYS[key]} path reads it, not a "
+                              f"{kind} path")
     if kind == "straight":
         return CurvatureProfile.straight()
     if kind == "circle":
         if "radius" in vals:
             return CurvatureProfile.circle(vals["radius"])
         raise ConfigError(f"{source}: circle path needs key 'radius'")
-    if kind == "periodic":
-        try:
-            N = vals["N"]
-            s_T = vals["s_T"]
-        except KeyError as exc:
-            raise ConfigError(f"{source}: periodic path needs key {exc}") from exc
-        if N != int(N):
-            raise ConfigError(f"{source}: key 'N': {N:g} is not an integer")
-        return CurvatureProfile.periodic(int(N), s_T)
-    raise ConfigError(f"{source}: unknown path kind {kind!r}")
+    try:
+        N = vals["N"]
+        s_T = vals["s_T"]
+    except KeyError as exc:
+        raise ConfigError(f"{source}: periodic path needs key {exc}") from exc
+    if N != int(N):
+        raise ConfigError(f"{source}: key 'N': {N:g} is not an integer")
+    return CurvatureProfile.periodic(int(N), s_T)
 
 
 def scenario_from_config(text: str, source: str = "<config>") -> tuple[Scenario, dict]:

@@ -14,14 +14,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import (LAWS, WrapperSpec, driving_force, feedback_law,
-                      longitudinal_accel, preview_max_curvature,
-                      steer_derivative_chain, steering_saturation,
-                      steering_torque, target_speed)
-from .errors import GuardTripped, ModelGuardError
-from .models import Variant, constraining_forces, speed_rate, steer_rate
-from .params import ControlGains, VehicleParams
-from .path import CurvatureProfile, PathTable, build_path, write_csv
+from .control import (LAWS, WrapperSpec, feedback_law, preview_max_curvature,
+                      steering_saturation, steering_torque)
+from .errors import (GuardTripped, ModelGuardError, SteeringSingularity,
+                     TubeSingularity)
+from .models import GAMMA_GUARD, Variant, steer_rate
+from .params import GRAVITY, ControlGains, VehicleParams
+from .path import TUBE_EPS, CurvatureProfile, PathTable, build_path, write_csv
 from .pathframe import rates
 
 # the model each controller mode's closed loop integrates
@@ -267,29 +266,118 @@ def _make_loop(sc: Scenario):
                            "gamma_fb", "T_s", "sigma1", "a_lat")
 
     # steer_longitudinal: force-driven skate model, rear wheel drive,
-    # feedback-linearizing force from the steering-derivative chain, which
-    # also supplies the path-frame rates
+    # feedback-linearizing force from the steering-derivative chain. One
+    # stage inlines control.steering_saturation, target_speed,
+    # longitudinal_accel, steer_derivative_chain (with pathframe.rates),
+    # driving_force and models.speed_rate, and in its diagnostic row
+    # models.constraining_forces, each expression in the operand order of
+    # its source, so that it equals them bit for bit (tests/test_sim.py
+    # holds it == to tests/oracles.composed_longitudinal_loop).
+    kappa_of, kappa_prime, kappa_second = \
+        prof.kappa, prof.kappa_prime, prof.kappa_second
     preview = gains.preview_dist
+    k1, k2 = gains.k1, gains.k2
+    gamma_max, v_max, a_lat_max = params.gamma_max, gains.v_max, gains.a_lat_max
+    a_lat_l = gains.a_lat_max * l
+    k_a, a_max = gains.k_a, gains.a_long_max
+    c_a = math.pi / (2.0 * a_max)
+    a_edge = math.nextafter(a_max, 0.0)
+    two_k2_3, two_l_3 = 2.0 * k2 ** 3, 2.0 * l ** 3
+    m1, m2, m4, J_F = params.m1, params.m2, params.m4, params.J_F
+    m2_m1, JF_m1l, JF_l = m2 / m1, J_F / (m1 * l), J_F / l
+    F_F = 0.0
+    m24, m14, m21_F = -(m2 - m4), m1 - m4, (m2 - m1) * F_F
+    m1m2, m1JF_l = m1 * m2, m1 * J_F / l
+    mu_R_den = m1 * GRAVITY * (l - params.d)
+    mu_F_den = m1 * GRAVITY * params.d
+    gamma_guard = 0.5 * math.pi - GAMMA_GUARD
 
     def steer_longitudinal(t, y, diag=False):
         s, e, th, s1 = y
-        gsat = steering_saturation(s1, gains, params)
-        v_des = target_speed(preview_max_curvature(prof, s, preview), gains)
-        a_des = longitudinal_accel(s1, v_des, gains)
-        cmd = steer_derivative_chain(s, e, th, s1, a_des, prof, gains,
-                                     gsat, params)
-        g = cmd.gamma_des
-        F = driving_force(a_des, g, cmd.gamma_dot, cmd.gamma_ddot, s1, params)
+        # the steering bound, the speed schedule and a_des
+        gsat = gamma_max if s1 <= 0.0 else \
+            min(gamma_max, math.atan(a_lat_l / s1 ** 2))
+        # preview_max_curvature is never negative
+        kap_m = preview_max_curvature(prof, s, preview)
+        v_des = v_max if kap_m == 0.0 else \
+            min(v_max, math.sqrt(a_lat_max / kap_m))
+        x = math.atan(c_a * (k_a * (s1 - v_des))) / c_a
+        a_des = x if -a_max < x < a_max else math.copysign(a_edge, x)
+
+        # the steering command and the rear-axle rates
+        kappa = kappa_of(s)
+        kp = kappa_prime(s)
+        kpp = kappa_second(s)
+        gff = math.atan(kappa * l)
+        fb1 = k1 * (th + math.atan(k2 * e))
+        c = math.pi / (2.0 * gsat)
+        x = math.atan(c * fb1) / c
+        gfb = x if -gsat < x < gsat else \
+            math.copysign(math.nextafter(gsat, 0.0), x)
+        g = gff + gfb
         tg = math.tan(g)
-        dy = (*cmd.rates, speed_rate(F.F_R, s1, tg, math.cos(g), cmd.gamma_dot,
-                                     cmd.gamma_ddot, params))
+        one = 1.0 - kappa * e
+        if abs(one) < TUBE_EPS:
+            raise TubeSingularity(f"1 - kappa*e = {one:.3e}")
+        ct, st = math.cos(th), math.sin(th)
+        vct = s1 * ct
+        sd = vct / one
+        ed = s1 * st
+        thd = s1 * tg / l - kappa * sd
+
+        # its first and second time derivatives
+        kdot = kp * sd
+        den_e = 1.0 + (k2 * e) ** 2
+        fb1_dot = k1 * (thd + k2 * ed / den_e)
+        den_ff = 1.0 + (l * kappa) ** 2
+        den_fb = 1.0 + (c * fb1) ** 2
+        gd = l * kdot / den_ff + fb1_dot / den_fb
+        cg = math.cos(g)
+        q = ed * kappa + e * kdot
+        one2 = one ** 2
+        vthd, vk = s1 * thd, s1 * kappa
+        sdd = (a_des * ct - vthd * st) / one + vct * q / one2
+        edd = a_des * st + vthd * ct
+        thdd = (a_des * tg / l
+                + s1 * gd / (l * cg * cg)
+                - vk * ct * q / one2
+                - (a_des * kappa * ct + s1 * kdot * ct - vk * thd * st) / one)
+        kdd = kp * sdd + kpp * sd * sd
+        fb1_dd = k1 * (thdd + (k2 * edd * den_e - two_k2_3 * e * ed ** 2)
+                       / den_e ** 2)
+        gdd = ((l * kdd * den_ff - two_l_3 * kappa * kdot ** 2) / den_ff ** 2
+               + (fb1_dd * den_fb - 2.0 * c * c * fb1 * fb1_dot ** 2)
+               / den_fb ** 2)
+
+        # the driving force that gives a_des, and the sigma1' row
+        if abs(g) >= gamma_guard:
+            raise SteeringSingularity(f"|gamma| = {abs(g):.9f} rad")
+        cg3 = cg ** 3
+        iota = m2_m1 * tg * tg
+        a1 = m2_m1 * math.sin(g) / cg3 * gd * s1
+        a2 = JF_m1l * gdd * tg
+        F_R = m1 * ((1.0 + iota) * a_des + a1 + a2)
+        m2t = m2 * tg
+        D = m1 + m2t * tg
+        dy = (sd, ed, thd,
+              (F_R - m2t / (cg * cg) * s1 * gd - JF_l * gdd * tg) / D)
         if not diag:
             return dy
-        forces = constraining_forces(s1, g, cmd.gamma_dot, cmd.gamma_ddot,
-                                     F.F_R, 0.0, params)
-        return dy, (g, s1, g, cmd.gamma_ff, cmd.gamma_fb, F.F_R, a_des,
-                    v_des, s1 * s1 * tg / l, F.iota, F.a1, F.a2,
-                    forces.mu_R, forces.mu_F)
+
+        # the lateral constraining forces behind mu_R and mu_F
+        Pi1 = F_R + F_F / cg
+        s1_2, cg2 = s1 ** 2, cg ** 2
+        Ftil_R = (m24 * tg / D * Pi1
+                  + m14 * s1_2 / l * tg
+                  + m4 * s1 * gd / cg2
+                  - (m1 + m4 * tg * tg) / D
+                  * (m2 * s1 * gd / cg2 + JF_l * gdd))
+        Ftil_F = ((m2 * F_R * tg / cg + m21_F * tg
+                   + m1m2 * s1 * gd / cg3
+                   + m1JF_l * gdd / cg) / D
+                  + m4 * s1_2 * tg / (l * cg))
+        return dy, (g, s1, g, gff, gfb, F_R, a_des, v_des, s1 * s1 * tg / l,
+                    iota, a1, a2, Ftil_R * l / mu_R_den, Ftil_F * l / mu_F_den)
 
     return [sc.s0, sc.e0, sc.theta0, sc.V], steer_longitudinal, (
         "gamma", "sigma1", "gamma_des", "gamma_ff", "gamma_fb", "F_R",

@@ -11,8 +11,11 @@ import math
 
 import numpy as np
 
-from nonholo.control import steer_derivative_chain
-from nonholo.models import DriveInput, Variant, eom_rhs
+from nonholo.control import (driving_force, longitudinal_accel,
+                             preview_max_curvature, steer_derivative_chain,
+                             steering_saturation, target_speed)
+from nonholo.models import (DriveInput, Variant, constraining_forces, eom_rhs,
+                            speed_rate)
 from nonholo.params import VehicleParams
 
 
@@ -177,3 +180,39 @@ def frenet_table_by_loop(profile, step, length=None, x0=0.0, y0=0.0,
                          + 2.0 * math.sin(p3) + math.sin(p4))
         pi_ += h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
     return cols
+
+
+def composed_longitudinal_loop(sc):
+    """The steer_longitudinal stage as a composition of the public functions.
+
+    ``loop(t, y)`` and ``loop(t, y, True)`` take and return what the
+    simulator's fused stage does. It calls ``steering_saturation``,
+    ``target_speed``, ``longitudinal_accel``, ``steer_derivative_chain``,
+    ``driving_force``, ``models.speed_rate`` and ``constraining_forces``,
+    so ``sim._make_loop`` must equal it bit for bit.
+    """
+    prof, params, gains = sc.profile, sc.params, sc.gains
+    l = params.l
+    preview = gains.preview_dist
+
+    def steer_longitudinal(t, y, diag=False):
+        s, e, th, s1 = y
+        gsat = steering_saturation(s1, gains, params)
+        v_des = target_speed(preview_max_curvature(prof, s, preview), gains)
+        a_des = longitudinal_accel(s1, v_des, gains)
+        cmd = steer_derivative_chain(s, e, th, s1, a_des, prof, gains,
+                                     gsat, params)
+        g = cmd.gamma_des
+        F = driving_force(a_des, g, cmd.gamma_dot, cmd.gamma_ddot, s1, params)
+        tg = math.tan(g)
+        dy = (*cmd.rates, speed_rate(F.F_R, s1, tg, math.cos(g), cmd.gamma_dot,
+                                     cmd.gamma_ddot, params))
+        if not diag:
+            return dy
+        forces = constraining_forces(s1, g, cmd.gamma_dot, cmd.gamma_ddot,
+                                     F.F_R, 0.0, params)
+        return dy, (g, s1, g, cmd.gamma_ff, cmd.gamma_fb, F.F_R, a_des,
+                    v_des, s1 * s1 * tg / l, F.iota, F.a1, F.a2,
+                    forces.mu_R, forces.mu_F)
+
+    return steer_longitudinal

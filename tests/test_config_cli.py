@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -191,6 +193,15 @@ class TestCli:
         ("path {\n    step = 0\n}\n", "step"),
         ("path {\n    kind = circle\n    radius = 100\n    step = -1\n}\n",
          "step"),
+        # a profile key of another kind of path
+        ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
+         "    radius = 5\n}\n", "radius"),
+        ("path {\n    kind = circle\n    radius = 200\n    N = 7\n}\n", "N"),
+        ("path {\n    kind = circle\n    s_T = 3\n    radius = 200\n}\n",
+         "s_T"),
+        ("path {\n    radius = 200\n    length = 900\n}\n", "radius"),
+        ("path {\n    kind = straight\n    N = 4\n    length = 900\n}\n",
+         "N"),
     ])
     def test_simulate_bad_config_exit_2(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "bad.cfg"
@@ -242,6 +253,8 @@ class TestCli:
         # 1000 m at 1e-5 m is more than PATH_STEPS_MAX steps
         ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
          "    step = 1e-5\n}\n", "step"),
+        ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
+         "    radius = 5\n}\n", "radius"),
     ])
     def test_dump_config_bad_path_exit_2(self, tmp_path, capsys, text, key):
         # --dump-config checks the path as a run does
@@ -364,6 +377,27 @@ class TestCli:
             bad = argv[argv.index("--values") + 1].split(",")[-1]
             assert f"value {bad}:" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--param", "wrapper_n", "--values", "2", "--dt", "5"], "--dt"),
+        (["--param", "wrapper_n", "--values", "2", "--figure", "fig17"],
+         "--figure"),
+        (["--param", "wrapper_n", "--values", "2", "--s-T", "300"], "--s-T"),
+        (["--param", "t_L", "--values", "0", "--s-T", "7"], "--s-T"),
+        (["--param", "a_lat_max", "--values", "4", "--s-T", "7"], "--s-T"),
+        (["--param", "N", "--values", "4", "--dt", "0.01"], "--dt"),
+        (["--param", "N", "--values", "4", "--figure", "fig16"], "--figure"),
+        (["--param", "s_T", "--values", "250", "--s-T", "300"], "--s-T"),
+        (["--param", "s_T", "--values", "250", "--dt", "0.01"], "--dt"),
+    ])
+    def test_sweep_unread_flag_exit_2(self, tmp_path, capsys, argv, flag):
+        # each sweep takes only the flags its parameter reads
+        out = tmp_path / "out"
+        rc = main(["sweep", *argv, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
     def test_sweep_lookahead(self, tmp_path, capsys):
         rc = main(["sweep", "--param", "t_L", "--values", "0,0.3",
                    "--dt", "0.01", "--out", str(tmp_path)])
@@ -399,6 +433,32 @@ class TestCli:
         lines = (tmp_path / "path.csv").read_text().splitlines()
         assert lines[0] == "s,x,y,psi,kappa"
         assert len(lines) == 1 + 10001
+
+    @pytest.mark.parametrize("kind,length", [("circle", 2.0 * math.pi * 200.0),
+                                             ("periodic", 1000.0)])
+    def test_path_defaults_per_kind(self, tmp_path, capsys, kind, length):
+        # a circle of radius 200 m, a periodic path of N = 4 and s_T = 250 m
+        rc = main(["path", "--kind", kind, "--out", str(tmp_path),
+                   "--no-plot"])
+        assert rc == 0
+        assert f"length {length:.2f} m, closed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args,flag", [
+        (["--kind", "circle", "--N", "7", "--s-T", "3"], "--N"),
+        (["--kind", "circle", "--s-T", "3"], "--s-T"),
+        (["--kind", "periodic", "--radius", "5"], "--radius"),
+        (["--radius", "5"], "--radius"),
+        (["--kind", "straight", "--length", "10", "--N", "3"], "--N"),
+        (["--kind", "straight", "--length", "10", "--radius", "5"], "--radius"),
+    ])
+    def test_path_flag_of_another_kind_exit_2(self, tmp_path, capsys, args,
+                                              flag):
+        out = tmp_path / "out"
+        rc = main(["path", *args, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not any(out.iterdir())
 
     def test_path_straight_needs_length(self, tmp_path, capsys):
         rc = main(["path", "--kind", "straight", "--out", str(tmp_path)])

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from nonholo.control import (feedback_law, steering_saturation,
-                             steering_torque)
-from nonholo.errors import GuardTripped
+                             steering_torque, target_speed)
+from nonholo.errors import GuardTripped, SteeringSingularity, TubeSingularity
 from nonholo.models import DriveInput, Variant, eom_rhs
 from nonholo.path import CurvatureProfile, build_path
 from nonholo.sim import (FIGURES, Scenario, _make_loop, count_zero_crossings,
                          integrate, named_scenario, run_scenario)
+from oracles import composed_longitudinal_loop
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ class TestScenarios:
         assert self._kappa_calls("fig16", 100) == 5 * 100 + 2
 
     def test_kappa_calls_per_steer_longitudinal_run(self):
-        # the derivative chain is the only kappa(s) of a stage
+        # the stage calls kappa(s) once, as the derivative chain did
         assert self._kappa_calls("fig20", 100) == 5 * 100 + 2
 
     @pytest.mark.parametrize("name", ["fig17", "fig18"])
@@ -218,3 +219,96 @@ class TestScenarios:
         got = [fb(e, th, gsat)
                for e, th in zip(trace["e_C"], trace["theta_C"])]
         assert np.array_equal(got, trace["gamma_fb"])
+
+
+def _longitudinal(case: str) -> Scenario:
+    """A steer_longitudinal scenario for one case of the stage test below."""
+    base, profile, over = {
+        "straight": (None, CurvatureProfile.straight(), {}),
+        "circle": (None, CurvatureProfile.circle(200.0), {}),
+        "circle_cw": (None, CurvatureProfile.circle(-200.0), {}),
+        "fig20": ("fig20", None, {}),
+        # fig21's preview_dist is its s_T: every window holds a peak
+        "fig21": ("fig21", None, {}),
+        "fig21_short_preview": ("fig21", None, {"preview_dist": 20.0}),
+        # gains so high that gamma_fb and a_des round onto their bounds
+        "saturated": ("fig20", None, {"k1": -1e17, "k_a": -1e17}),
+    }[case]
+    if base is None:
+        sc = Scenario(name=case, profile=profile, mode="steer_longitudinal",
+                      duration=1.0)
+    else:
+        sc = named_scenario(base)
+    return replace(sc, gains=replace(sc.gains, **over))
+
+
+class TestFusedLongitudinalStage:
+    """The simulator's steer_longitudinal stage is the composed public
+    functions (``oracles.composed_longitudinal_loop``), bit for bit."""
+
+    STATES = 5000
+
+    @pytest.mark.parametrize("case", ["straight", "circle", "circle_cw",
+                                      "fig20", "fig21", "fig21_short_preview",
+                                      "saturated"])
+    def test_random_states_equal_composed(self, case):
+        sc = _longitudinal(case)
+        _, fused, columns = _make_loop(sc)
+        composed = composed_longitudinal_loop(sc)
+        rng = np.random.default_rng(15)
+        n = self.STATES
+        states = np.column_stack([rng.uniform(-100.0, 1100.0, n),
+                                  rng.uniform(-12.0, 12.0, n),
+                                  rng.uniform(-1.4, 1.4, n),
+                                  rng.uniform(-5.0, 45.0, n)]).tolist()
+        states.append([10.0, 1.0, 0.1, 0.0])
+        rows = []
+        for y in states:
+            assert fused(0.0, y) == composed(0.0, y), y
+            got = fused(0.0, y, True)
+            assert got == composed(0.0, y, True), y
+            rows.append(got[1])
+        rows = dict(zip(columns, np.array(rows).T))
+
+        # the states reach every branch of the stage
+        s1, p, g = rows["sigma1"], sc.params, sc.gains
+        assert np.count_nonzero(s1 <= 0.0) > n // 20   # gamma_sat = gamma_max
+        gsat = np.array([steering_saturation(v, g, p) for v in s1])
+        fb_edge = np.abs(rows["gamma_fb"]) == np.nextafter(gsat, 0.0)
+        a_edge = np.abs(rows["a_des"]) == math.nextafter(g.a_long_max, 0.0)
+        assert (fb_edge.any() and a_edge.any()) == (case == "saturated")
+        if sc.profile.kind == "periodic":
+            peak = rows["v_des"] == target_speed(sc.profile.kappa_max, g)
+            assert peak.all() if case == "fig21" \
+                else peak.any() and not peak.all()
+
+    @pytest.mark.parametrize("radius,y,exc", [
+        (200.0, [5.0, 200.0, 0.1, 20.0], TubeSingularity),
+        # arctan(kappa*l) near pi/2 plus a positive feedback passes it
+        (1e-3, [0.0, 0.0, -1.0, 5.0], SteeringSingularity),
+        # gamma = pi/2 - 1e-7, inside the 1e-9 guard of driving_force
+        (2.57e-7, [0.0, 0.0, 0.0, 5.0], None),
+    ])
+    def test_guards_raise_as_composed(self, radius, y, exc):
+        sc = Scenario(name="guard", profile=CurvatureProfile.circle(radius),
+                      mode="steer_longitudinal", duration=1.0)
+        _, fused, _ = _make_loop(sc)
+        composed = composed_longitudinal_loop(sc)
+        for diag in (False, True):
+            if exc is None:
+                assert fused(0.0, y, diag) == composed(0.0, y, diag)
+                continue
+            for loop in (fused, composed):
+                with pytest.raises(Exception) as err:
+                    loop(0.0, y, diag)
+                assert type(err.value) is exc
+
+    @pytest.mark.parametrize("name", ["fig20", "fig21"])
+    def test_integration_equals_composed(self, name):
+        sc = replace(named_scenario(name), duration=2.0)
+        y0, fused, _ = _make_loop(sc)
+        got = integrate(fused, y0, sc.dt, sc.duration, rows=True)
+        want = integrate(composed_longitudinal_loop(sc), y0, sc.dt,
+                         sc.duration, rows=True)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
