@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import kinematic_stability, stability_grid
-from .config import dump_config, scenario_from_config
+from .config import _KIND_KEYS, dump_config, scenario_from_config
 from .control import WrapperSpec, wrapper, wrapper_deriv
 from .errors import ConfigError, GuardTripped, NonClosure, NonholoError
 from .params import VehicleParams
@@ -27,6 +27,7 @@ from .svgplot import Panel, figure_panels
 
 
 def _out_dir(out: str | None) -> Path:
+    """Create the output directory; called once the inputs are checked."""
     path = Path(out or "out")
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -76,15 +77,11 @@ def _print_summary(scenario: Scenario, trace: SimTrace) -> None:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args.out)
+    output = {"dir": "out", "plot": True}
     try:
         if args.config:
             text = Path(args.config).read_text(encoding="utf-8")
             scenario, output = scenario_from_config(text, source=args.config)
-            if not args.out:
-                out = _out_dir(output["dir"])
-            if args.plot is None:
-                args.plot = output["plot"]
         elif args.figure:
             scenario = named_scenario(args.figure)
         else:
@@ -111,9 +108,10 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    out = _out_dir(args.out or output["dir"])
     trace.to_csv(out / "trace.csv")
     _print_summary(scenario, trace)
-    if args.plot is not False:
+    if args.plot or (args.plot is None and output["plot"]):
         dest = _plot_trace(trace, scenario, table, out)
         print(f"wrote {out / 'trace.csv'} and {dest}")
     else:
@@ -143,14 +141,13 @@ def _stability_axes(args):
 
 
 def cmd_stability(args) -> int:
-    out = _out_dir(args.out)
     try:
         k1, k2, kappas = _stability_axes(args)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     params = VehicleParams()
-    dest = out / "stability.csv"
+    dest = _out_dir(args.out) / "stability.csv"
     rows = [(r[0], r[1], kappa, *r[2:]) for kappa in kappas
             for r in stability_grid(k1, k2, kappa, args.speed, params.l)]
     write_csv(dest, ("k1", "k2", "kappa_star", "criterion", "eig_max_real",
@@ -214,7 +211,6 @@ def _sweep_item(param: str, v: float, base: Scenario | None, s_T: float):
 
 
 def cmd_sweep(args) -> int:
-    out = _out_dir(args.out)
     if args.param not in SWEEP_PARAMS:
         print(f"unknown sweep parameter {args.param!r}; "
               f"expected one of {SWEEP_PARAMS}", file=sys.stderr)
@@ -252,6 +248,7 @@ def cmd_sweep(args) -> int:
                   file=sys.stderr)
             return 2
 
+    out = _out_dir(args.out)
     if args.param == "wrapper_n":
         return _sweep_wrapper(values, items, out)
     if base is None:
@@ -307,13 +304,10 @@ def _sweep_paths(paths, out: Path) -> int:
 
 
 def cmd_path(args) -> int:
-    out = _out_dir(args.out)
-    for flag, value, kind in (("--N", args.N, "periodic"),
-                              ("--s-T", args.s_T, "periodic"),
-                              ("--radius", args.radius, "circle")):
-        if value is not None and args.kind != kind:
-            print(f"path error: {flag}: only a {kind} path reads it, not a "
-                  f"{args.kind} path", file=sys.stderr)
+    for key, kind in _KIND_KEYS.items():
+        if getattr(args, key) is not None and args.kind != kind:
+            print(f"path error: --{key.replace('_', '-')}: only a {kind} "
+                  f"path reads it, not a {args.kind} path", file=sys.stderr)
             return 2
     try:
         if args.kind == "straight":
@@ -329,6 +323,7 @@ def cmd_path(args) -> int:
     except (ValueError, NonholoError) as exc:
         print(f"path error: {exc}", file=sys.stderr)
         return 2
+    out = _out_dir(args.out)
     dest = out / "path.csv"
     table.to_csv(dest)
     closed = "closed" if table.closed else "open"

@@ -10,28 +10,27 @@ Grammar (one item per line, ``#`` starts a comment):
 Blocks: ``vehicle`` (the ``VehicleParams`` fields), ``path`` (kind plus
 profile fields), ``controller`` (mode, law, wrapper index and the
 ``ControlGains`` fields), ``sim`` (timing, speed, initial state) and
-``output``. Unknown blocks or keys are rejected; all units are SI.
-``dump_config`` emits the canonical form, which re-parses to an identical
-scenario.
+``output``. Unknown blocks or keys are rejected, and so is a vehicle,
+controller or sim key that the mode does not read (``sim.MODE_READS``);
+all units are SI. ``dump_config`` emits the canonical form, which holds
+only the keys the mode reads and re-parses to an identical scenario.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 
 from .errors import ConfigError
 from .params import ControlGains, VehicleParams
 from .path import CurvatureProfile
-from .sim import MODES, Scenario
+from .sim import (CONTROLLER_KEYS, GAIN_KEYS, MODE_READS, MODES, SIM_KEYS,
+                  VEHICLE_KEYS, Scenario)
 
-_VEHICLE_KEYS = tuple(f.name for f in fields(VehicleParams))
-_GAIN_KEYS = tuple(f.name for f in fields(ControlGains))
-_PATH_KEYS = ("kind", "radius", "s_T", "N", "step", "length")
-_SIM_KEYS = ("dt", "duration", "V", "e0", "theta0", "s0", "gamma0", "sigma2_0")
-_BLOCKS = {"vehicle": _VEHICLE_KEYS, "path": _PATH_KEYS,
-           "controller": ("mode", "law", "wrapper_n", *_GAIN_KEYS),
-           "sim": _SIM_KEYS, "output": ("dir", "plot")}
+_BLOCKS = {"vehicle": VEHICLE_KEYS,
+           "path": ("kind", "radius", "N", "s_T", "step", "length"),
+           "controller": (*CONTROLLER_KEYS, *GAIN_KEYS),
+           "sim": SIM_KEYS, "output": ("dir", "plot")}
+_MODE_BLOCKS = ("vehicle", "controller", "sim")   # the blocks MODE_READS covers
 
 
 def parse_blocks(text: str, source: str = "<config>") -> dict[str, dict[str, str]]:
@@ -105,8 +104,7 @@ def _profile_from(kind: str, vals: dict[str, float],
             return CurvatureProfile.circle(vals["radius"])
         raise ConfigError(f"{source}: circle path needs key 'radius'")
     try:
-        N = vals["N"]
-        s_T = vals["s_T"]
+        N, s_T = vals["N"], vals["s_T"]
     except KeyError as exc:
         raise ConfigError(f"{source}: periodic path needs key {exc}") from exc
     if N != int(N):
@@ -117,10 +115,17 @@ def _profile_from(kind: str, vals: dict[str, float],
 def scenario_from_config(text: str, source: str = "<config>") -> tuple[Scenario, dict]:
     """Parse a config into a Scenario plus the output-block settings."""
     blocks = parse_blocks(text, source)
-    params = VehicleParams(**_floats(blocks.get("vehicle", {}), source))
-
     cb = dict(blocks.get("controller", {}))
     mode = cb.pop("mode", "steer_only")
+    if mode not in MODES:
+        raise ConfigError(f"{source}: key 'mode': unknown mode {mode!r}")
+    for block in _MODE_BLOCKS:
+        for key in blocks.get(block, {}):
+            if key not in MODE_READS[mode]:
+                raise ConfigError(f"{source}: key {key!r}: mode {mode} "
+                                  "does not read it")
+    params = VehicleParams(**_floats(blocks.get("vehicle", {}), source))
+
     law = cb.pop("law", "wrapped")
     wrapper_text = cb.pop("wrapper_n", "2")
     try:
@@ -129,8 +134,6 @@ def scenario_from_config(text: str, source: str = "<config>") -> tuple[Scenario,
         raise ConfigError(f"{source}: key 'wrapper_n': expected an "
                           f"integer or inf, got {wrapper_text!r}") from exc
     gains = ControlGains(**_floats(cb, source))
-    if mode not in MODES:
-        raise ConfigError(f"{source}: key 'mode': unknown mode {mode!r}")
 
     path = dict(blocks.get("path", {}))
     kind = path.pop("kind", "straight")
@@ -159,37 +162,29 @@ def scenario_from_config(text: str, source: str = "<config>") -> tuple[Scenario,
 
 
 def dump_config(sc: Scenario, output: dict | None = None) -> str:
-    """Canonical config text for a scenario; re-parses identically."""
+    """Canonical config text of a scenario; re-parses identically."""
     output = output or {"dir": "out", "plot": True}
-    lines = ["vehicle {"]
-    for key in _VEHICLE_KEYS:
-        lines.append(f"    {key} = {getattr(sc.params, key):.17g}")
-    lines.append("}")
-    lines.append("path {")
-    lines.append(f"    kind = {sc.profile.kind}")
-    if sc.profile.kind == "circle":
-        lines.append(f"    radius = {1.0 / sc.profile.kappa_const:.17g}")
-    elif sc.profile.kind == "periodic":
-        lines.append(f"    N = {sc.profile.N}")
-        lines.append(f"    s_T = {sc.profile.s_T:.17g}")
-    lines.append(f"    step = {sc.path_step:.17g}")
-    if sc.path_length is not None:
-        lines.append(f"    length = {sc.path_length:.17g}")
-    lines.append("}")
-    lines.append("controller {")
-    lines.append(f"    mode = {sc.mode}")
-    lines.append(f"    law = {sc.law}")
-    n_text = "inf" if sc.wrapper_n == math.inf else str(int(sc.wrapper_n))
-    lines.append(f"    wrapper_n = {n_text}")
-    for key in _GAIN_KEYS:
-        lines.append(f"    {key} = {getattr(sc.gains, key):.17g}")
-    lines.append("}")
-    lines.append("sim {")
-    for key in _SIM_KEYS:
-        lines.append(f"    {key} = {getattr(sc, key):.17g}")
-    lines.append("}")
-    lines.append("output {")
-    lines.append(f"    dir = {output['dir']}")
-    lines.append(f"    plot = {'true' if output['plot'] else 'false'}")
-    lines.append("}")
+    prof = sc.profile
+    held = {**{k: getattr(sc.params, k) for k in VEHICLE_KEYS},
+            **{k: getattr(sc.gains, k) for k in GAIN_KEYS},
+            **{k: getattr(sc, k) for k in (*CONTROLLER_KEYS, *SIM_KEYS)},
+            "kind": prof.kind, "step": sc.path_step, "length": sc.path_length,
+            "dir": output["dir"], "plot": "true" if output["plot"] else "false"}
+    if prof.kind == "circle":
+        held["radius"] = 1.0 / prof.kappa_const
+    elif prof.kind == "periodic":
+        held.update(N=prof.N, s_T=prof.s_T)
+    if sc.wrapper_n == math.inf:
+        held["wrapper_n"] = "inf"
+    lines = []
+    for name, keys in _BLOCKS.items():
+        lines.append(f"{name} {{")
+        for key in keys:
+            value = held.get(key)
+            if value is None or (name in _MODE_BLOCKS
+                                 and key not in MODE_READS[sc.mode]):
+                continue
+            lines.append(f"    {key} = {value}" if isinstance(value, str)
+                         else f"    {key} = {value:.17g}")
+        lines.append("}")
     return "\n".join(lines) + "\n"

@@ -3,8 +3,9 @@
 Defaults correspond to a compact passenger car (Kia Soul class). The skate
 masses ``m_R``/``m_F`` are the *effective* masses: when modelling rigid
 wheels of spin inertia I about a radius-r contact, the equivalent skate mass
-is m0 + I/r**2, and the same combined masses m1..m4 drive both model
-families.
+is m0 + I/r**2, and the same combined masses m1, m2, m4 drive both model
+families. The spin inertia has no field of its own: it is already in
+``m_R``/``m_F``, and a second input would count it twice.
 """
 
 from __future__ import annotations
@@ -28,15 +29,13 @@ class VehicleParams:
     J_G: float = 1343.0      # body yaw inertia [kg m^2]
     J_R: float = 0.25        # rear wheel yaw inertia [kg m^2]
     J_F: float = 0.25        # front wheel yaw inertia [kg m^2]
-    I_R: float = 0.9         # rear wheel spin inertia [kg m^2]
-    I_F: float = 0.9         # front wheel spin inertia [kg m^2]
     r: float = 0.32          # wheel radius [m]
     gamma_max: float = math.radians(30.0)  # physical steering limit [rad]
 
     def __post_init__(self):
         if not (self.l > self.d > 0.0):
             raise ValueError("require l > d > 0")
-        for name in ("m", "m_R", "m_F", "J_G", "J_R", "J_F", "I_R", "I_F", "r"):
+        for name in ("m", "m_R", "m_F", "J_G", "J_R", "J_F", "r"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -50,10 +49,6 @@ class VehicleParams:
     def m2(self) -> float:
         return (self.J_G + self.m * self.d ** 2 + self.J_R + self.J_F
                 + self.m_F * self.l ** 2) / self.l ** 2
-
-    @cached_property
-    def m3(self) -> float:
-        return self.m_R - (self.l - self.d) / self.d * self.m_F
 
     @cached_property
     def m4(self) -> float:

@@ -10,7 +10,7 @@ deterministic given (scenario, dt).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,6 +31,26 @@ MODE_MODELS = {
     "steer_longitudinal": Variant.SKATE_FORCE,
 }
 MODES = tuple(MODE_MODELS)
+
+# the vehicle, gain, controller and sim keys, by the object that holds them
+VEHICLE_KEYS = tuple(f.name for f in fields(VehicleParams))
+GAIN_KEYS = tuple(f.name for f in fields(ControlGains))
+CONTROLLER_KEYS = ("mode", "law", "wrapper_n")   # besides the gains
+SIM_KEYS = ("dt", "duration", "V", "e0", "theta0", "s0", "gamma0", "sigma2_0")
+
+# the keys each mode's loop, _build_table and run_scenario read; the config
+# rejects the others, and a Scenario holds them at their defaults
+_EVERY_MODE = ("l", "d", "mode", "dt", "duration", "V", "e0", "theta0", "s0")
+_STEERING = (*_EVERY_MODE, "gamma_max", "k1", "k2", "a_lat_max")
+MODE_READS = {
+    "none": frozenset(_EVERY_MODE),
+    "steer_only": frozenset((*_STEERING, "law", "wrapper_n")),
+    "steer_torque": frozenset((*_STEERING, "law", "wrapper_n", "J_F", "k_s",
+                               "T_sat", "t_L", "gamma0", "sigma2_0")),
+    "steer_longitudinal": frozenset((*_STEERING, "m", "m_R", "m_F", "J_G",
+                                     "J_R", "J_F", "a_long_max", "k_a",
+                                     "v_max", "preview_dist")),
+}
 
 TRACE_COLUMNS = (
     "t", "x_G", "y_G", "psi", "gamma", "sigma1", "sigma2",
@@ -77,16 +97,15 @@ class Scenario:
             WrapperSpec(self.wrapper_n, 1.0)
         except ValueError as exc:
             raise ValueError(f"key 'wrapper_n': {exc}") from exc
-        longitudinal = self.mode == "steer_longitudinal"
-        if longitudinal and (self.law, self.wrapper_n) != ("wrapped", 2):
-            raise ValueError("key 'law': steer_longitudinal needs the wrapped "
-                             "law with wrapper_n = 2")
-        if self.mode != "steer_torque":
-            for key, value in (("t_L", self.gains.t_L), ("gamma0", self.gamma0),
-                               ("sigma2_0", self.sigma2_0)):
-                if value != 0.0:
-                    raise ValueError(f"key '{key}': {self.mode} needs {key} = 0; "
-                                     "only steer_torque reads it")
+        reads = MODE_READS[self.mode]
+        for holder, keys in ((self.params, VEHICLE_KEYS),
+                             (self.gains, GAIN_KEYS),
+                             (self, CONTROLLER_KEYS + SIM_KEYS)):
+            for f in fields(holder):
+                if (f.name in keys and f.name not in reads
+                        and getattr(holder, f.name) != f.default):
+                    raise ValueError(f"key '{f.name}': {self.mode} does not "
+                                     f"read it, so it must stay {f.default!r}")
         kappa0 = self.profile.kappa(self.s0)
         if abs(kappa0 * self.e0) >= 1.0:
             raise ValueError("initial state outside the curvature tube")
@@ -463,39 +482,33 @@ def named_scenario(name: str, params: VehicleParams | None = None,
                    gains: ControlGains | None = None,
                    dt: float = 1e-3) -> Scenario:
     """Built-in scenario definitions for the reference experiments."""
-    params = params or VehicleParams()
     gains = gains or ControlGains()
-    base = dict(params=params, gains=gains, dt=dt)
+    base = dict(params=params or VehicleParams(), gains=gains, dt=dt,
+                V=20.0, e0=-10.0)
     if name == "fig13":
         return Scenario(name=name, profile=CurvatureProfile.straight(),
-                        mode="steer_only", duration=30.0, V=20.0, e0=-10.0,
-                        theta0=0.0, **base)
+                        mode="steer_only", duration=30.0, **base)
     if name == "fig14":
         return Scenario(name=name, profile=CurvatureProfile.circle(200.0),
-                        mode="steer_only", duration=35.0, V=20.0,
-                        e0=-10.0, theta0=math.radians(20.0), **base)
+                        mode="steer_only", duration=35.0,
+                        theta0=math.radians(20.0), **base)
     if name == "fig16":
         return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
-                        mode="steer_only", duration=50.0, V=20.0,
-                        e0=-10.0, **base)
+                        mode="steer_only", duration=50.0, **base)
     if name == "fig17":
         return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
-                        mode="steer_torque", duration=50.0, V=20.0,
-                        e0=-10.0, **base)
+                        mode="steer_torque", duration=50.0, **base)
     if name == "fig18":
         base["gains"] = replace(gains, t_L=0.3)
         return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
-                        mode="steer_torque", duration=50.0, V=20.0,
-                        e0=-10.0, **base)
+                        mode="steer_torque", duration=50.0, **base)
     if name == "fig20":
         return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
-                        mode="steer_longitudinal", duration=60.0, V=20.0,
-                        e0=-10.0, **base)
+                        mode="steer_longitudinal", duration=60.0, **base)
     if name == "fig21":
         base["gains"] = replace(gains, a_lat_max=12.0)
         return Scenario(name=name, profile=CurvatureProfile.periodic(4, 50.0),
-                        mode="steer_longitudinal", duration=30.0, V=20.0,
-                        e0=-10.0, **base)
+                        mode="steer_longitudinal", duration=30.0, **base)
     raise ValueError(f"unknown scenario {name!r}; known: {sorted(FIGURES)}")
 
 

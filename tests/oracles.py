@@ -44,7 +44,9 @@ def newtonian_forces(sigma1, psi, gamma, gamma_dot, gamma_ddot, F_R, F_F,
                      params: VehicleParams):
     """Lateral contact forces from accelerations (singular at gamma = 0)."""
     l, d = params.l, params.d
-    m1, m3 = params.m1, params.m3
+    m1 = params.m1
+    # the combined mass m3 of the paper's Newtonian balance
+    m3 = params.m_R - (l - d) / d * params.m_F
     t = math.tan(gamma)
     sg, cg = math.sin(gamma), math.cos(gamma)
 

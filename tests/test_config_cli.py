@@ -1,14 +1,18 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nonholo.cli import main
-from nonholo.config import _BLOCKS, dump_config, scenario_from_config
+from nonholo.config import (_BLOCKS, _MODE_BLOCKS, dump_config, parse_blocks,
+                            scenario_from_config)
 from nonholo.control import LAWS
 from nonholo.errors import ConfigError
 from nonholo.models import Variant
-from nonholo.sim import MODES, named_scenario, run_scenario
+from nonholo.sim import (FIGURES, MODE_READS, MODES, TRACE_COLUMNS,
+                         named_scenario, run_scenario)
 
 MINIMAL = """
 path {
@@ -49,13 +53,22 @@ _WORDS = {
 
 @st.composite
 def config_texts(draw):
+    mode = draw(st.sampled_from(_WORDS["mode"]))
+    # most texts name their mode and set only keys that it reads, so that
+    # enough of them parse for the round trip below to run
+    reads = MODE_READS.get(mode) if draw(st.integers(0, 4)) else None
     lines = []
     for block, keys in _BLOCKS.items():
-        if draw(st.booleans()):
+        head = [] if reads is None or block != "controller" \
+            else [f"    mode = {mode}"]
+        if not head and draw(st.booleans()):
             continue
-        lines.append(f"{block} {{")
-        for key in draw(st.lists(st.sampled_from(keys), unique=True,
-                                 max_size=6)):
+        if reads is not None and block in _MODE_BLOCKS:
+            keys = [k for k in keys if k in reads and k != "mode"]
+        lines += [f"{block} {{", *head]
+        drawn = st.lists(st.sampled_from(keys), unique=True, max_size=6) \
+            if keys else st.just([])
+        for key in draw(drawn):
             value = draw(st.sampled_from(_WORDS[key]) if key in _WORDS
                          else _NUMBERS)
             lines.append(f"    {key} = {value}")
@@ -78,12 +91,16 @@ class TestConfig:
         assert output == {"dir": "results", "plot": False}
 
     def test_round_trip(self):
-        for name in ("fig13", "fig16", "fig20"):
+        for name in FIGURES:
             sc = named_scenario(name)
             text = dump_config(sc)
+            blocks = parse_blocks(text)
+            # the dump holds exactly the keys its mode reads
+            assert {k for b in _MODE_BLOCKS for k in blocks[b]} \
+                == MODE_READS[sc.mode]
             back, _ = scenario_from_config(text)
-            back = type(back)(**{**back.__dict__, "name": sc.name})
-            assert back == sc
+            assert replace(back, name=sc.name) == sc
+            assert dump_config(back) == text
 
     def test_unknown_key_named(self):
         bad = "sim {\n    wheelbase = 2.5\n}\n"
@@ -103,7 +120,10 @@ class TestConfig:
                                            ("sim", "duration")])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_number_named(self, block, key, value):
-        text = f"{block} {{\n    {key} = {value}\n}}\n"
+        # steer_longitudinal reads every key named here
+        blocks = {"controller": "    mode = steer_longitudinal\n"}
+        blocks[block] = blocks.get(block, "") + f"    {key} = {value}\n"
+        text = "".join(f"{name} {{\n{body}}}\n" for name, body in blocks.items())
         with pytest.raises(ConfigError, match=f"{key}.*not finite"):
             scenario_from_config(text)
 
@@ -121,6 +141,102 @@ class TestConfig:
             "controller {\n    mode = steer_longitudinal\n}\n"
             "sim {\n    V = 25\n    duration = 0.1\n    dt = 0.01\n}\n")
         assert run_scenario(sc)["sigma1"][0] == 25.0
+
+
+# a value other than the default of each vehicle, controller and sim key;
+# it changes a short run (_base_config) of every mode that reads the key
+_BINDING = {
+    "l": "3", "d": "1", "m": "1000", "m_R": "50", "m_F": "50",
+    "J_G": "2000", "J_R": "5", "J_F": "1", "r": "0.4",
+    # below atan(a_lat_max * l / V^2) = 0.0257 rad at 20 m/s
+    "gamma_max": "0.005",
+    "law": "nonlinear", "wrapper_n": "3", "k1": "-1", "k2": "0.05",
+    "k_s": "-10", "T_sat": "0.5", "k_a": "-1", "a_lat_max": "2",
+    "a_long_max": "1", "v_max": "5", "t_L": "0.3", "preview_dist": "3",
+    "dt": "0.02", "duration": "2", "V": "15", "e0": "-3", "theta0": "0.1",
+    "s0": "10", "gamma0": "0.01", "sigma2_0": "0.01",
+}
+_ALL_KEYS = tuple(k for b in _MODE_BLOCKS for k in _BLOCKS[b])
+_UNREAD = [(mode, key) for mode in MODES for key in _ALL_KEYS
+           if key not in MODE_READS[mode]]
+_READ = [(mode, key) for mode in MODES for key in _ALL_KEYS
+         if key in MODE_READS[mode]]
+
+
+def _holder(sc, key: str):
+    """The scenario, vehicle or gain object with the field ``key``."""
+    return next(h for h in (sc.params, sc.gains, sc) if hasattr(h, key))
+
+
+def _block_of(key: str) -> str:
+    return next(b for b in _MODE_BLOCKS if key in _BLOCKS[b])
+
+
+def _base_config(mode: str, **keys: str) -> str:
+    blocks = {"path": {"kind": "periodic", "N": "4", "s_T": "250"},
+              "controller": {"mode": mode},
+              "sim": {"duration": "1", "dt": "0.01", "e0": "-2"}}
+    for key, value in keys.items():
+        blocks.setdefault(_block_of(key), {})[key] = value
+    return "".join(f"{b} {{\n" + "".join(f"    {k} = {v}\n"
+                                         for k, v in body.items()) + "}\n"
+                   for b, body in blocks.items())
+
+
+class TestModeReads:
+    def test_table_sizes(self):
+        assert len(_ALL_KEYS) == 31
+        assert {m: len(MODE_READS[m]) for m in MODES} == {
+            "none": 9, "steer_only": 15, "steer_torque": 21,
+            "steer_longitudinal": 23}
+
+    @pytest.mark.parametrize("mode,key", _UNREAD)
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_unread_key_exit_2(self, tmp_path, capsys, mode, key, dump):
+        # even at its default value
+        default = getattr(_holder(scenario_from_config(_base_config(mode))[0],
+                                  key), key)
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(_base_config(mode, **{key: f"{default}"}))
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out),
+                   *(["--dump-config"] if dump else [])])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"'{key}': mode {mode} does not read it" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode,key", _UNREAD)
+    def test_scenario_holds_unread_key_at_default(self, mode, key):
+        sc = scenario_from_config(_base_config(mode))[0]
+        holder = _holder(sc, key)
+        value = {key: type(getattr(holder, key))(_BINDING[key])}
+        with pytest.raises(ValueError, match=f"'{key}': {mode} does not read"):
+            if holder is sc:
+                replace(sc, **value)
+            elif holder is sc.params:
+                replace(sc, params=replace(sc.params, **value))
+            else:
+                replace(sc, gains=replace(sc.gains, **value))
+
+    @pytest.mark.parametrize("mode,key", _READ)
+    def test_read_key_changes_trace(self, mode, key):
+        if (mode, key) == ("none", "l"):
+            # with the wheel held straight, l cancels out of every column;
+            # the mode reads it as the bound of d (l > d)
+            with pytest.raises(ValueError, match="l > d"):
+                scenario_from_config(_base_config(mode, l="1"))
+            return
+        base = run_scenario(scenario_from_config(_base_config(mode))[0])
+        if key == "mode":
+            text = _base_config("steer_only" if mode == "none" else "none")
+        else:
+            text = _base_config(mode, **{key: _BINDING[key]})
+        changed = run_scenario(scenario_from_config(text)[0])
+        assert any(base.has(n) != changed.has(n) or (
+            base.has(n) and not np.array_equal(base[n], changed[n]))
+            for n in TRACE_COLUMNS)
 
 
 class TestCli:
@@ -211,7 +327,7 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"'{key}'" in err and "Traceback" not in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_simulate_straight_from_s0(self, tmp_path, capsys):
         cfg = tmp_path / "far.cfg"
@@ -298,11 +414,12 @@ class TestCli:
         assert word in capsys.readouterr().err
 
     def test_simulate_dt_zero_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
         rc = main(["simulate", "--figure", "fig13", "--dt", "0",
-                   "--out", str(tmp_path)])
+                   "--out", str(out)])
         assert rc == 2
         assert "'dt'" in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
+        assert not out.exists()
 
     def test_stability_map(self, tmp_path, capsys):
         rc = main(["stability", "--k1", "-2", "0.5", "12", "--k2", "-0.05",
@@ -347,7 +464,7 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_sweep_unknown_param_exit_2(self, tmp_path, capsys):
         rc = main(["sweep", "--param", "bogus", "--values", "1",
@@ -396,7 +513,7 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_sweep_lookahead(self, tmp_path, capsys):
         rc = main(["sweep", "--param", "t_L", "--values", "0,0.3",
@@ -458,7 +575,7 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_path_straight_needs_length(self, tmp_path, capsys):
         rc = main(["path", "--kind", "straight", "--out", str(tmp_path)])
@@ -481,4 +598,4 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"key '{key}'" in err and "Traceback" not in err
-        assert not any(out.iterdir())
+        assert not out.exists()
