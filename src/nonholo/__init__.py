@@ -12,16 +12,13 @@ from .params import ControlGains, VehicleParams, GRAVITY
 from .path import (CurvatureProfile, PathQuery, PathTable, build_path,
                    frame_rates, frame_rates_inverse, reconstruct_pose,
                    wrap_angle)
-from .models import (ConstraintForces, DriveInput, Environment, Variant,
-                     constraining_forces, constraint_residuals,
-                     drivetrain_split, eom_rhs, lateral_acceleration,
-                     pseudo_velocity_determinant, resistance_pseudo_force)
+from .models import (ConstraintForces, DriveInput, Variant,
+                     constraining_forces, constraint_residuals, eom_rhs)
 from .pathframe import TrackPoint, pathframe_rhs
 from .control import (DrivingForce, SteerCommand, WrapperSpec, driving_force,
-                      feedback_law, feedforward_steer, longitudinal_accel,
-                      preview_max_curvature, steer_derivative_chain,
-                      steering_saturation, steering_torque, target_speed,
-                      wrapper, wrapper_deriv)
+                      feedback_law, longitudinal_accel, preview_max_curvature,
+                      steer_derivative_chain, steering_saturation,
+                      steering_torque, target_speed, wrapper, wrapper_deriv)
 from .analysis import (EquivalenceReport, EquivalenceScenario, LinearModel,
                        StabilityVerdict, kinematic_stability,
                        linearize_kinematic, linearize_longitudinal,

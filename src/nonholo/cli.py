@@ -26,10 +26,14 @@ from .sim import (FIGURES, Scenario, SimTrace, _build_table, named_scenario,
 from .svgplot import Panel, figure_panels
 
 
-def _out_dir(out: str | None) -> Path:
-    """Create the output directory; called once the inputs are checked."""
+def _out_dir(out: str | None, key: str = "--out") -> Path:
+    """Create the output directory once the inputs are checked; ConfigError
+    names ``key`` when it cannot be created."""
     path = Path(out or "out")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
     return path
 
 
@@ -108,7 +112,8 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = _out_dir(args.out or output["dir"])
+    out = _out_dir(args.out) if args.out or not args.config \
+        else _out_dir(output["dir"], f"{args.config}: key 'dir'")
     trace.to_csv(out / "trace.csv")
     _print_summary(scenario, trace)
     if args.plot or (args.plot is None and output["plot"]):
@@ -167,7 +172,9 @@ def cmd_stability(args) -> int:
     return 0
 
 
-SWEEP_PARAMS = ("t_L", "wrapper_n", "a_lat_max", "N", "s_T")
+# each --param and the flags it reads; any other given exits 2 naming it
+SWEEP_PARAMS = {"t_L": ("--figure", "--dt"), "wrapper_n": (),
+                "a_lat_max": ("--figure", "--dt"), "N": ("--s-T",), "s_T": ()}
 
 
 def _run_concurrently(scenarios):
@@ -213,19 +220,16 @@ def _sweep_item(param: str, v: float, base: Scenario | None, s_T: float):
 def cmd_sweep(args) -> int:
     if args.param not in SWEEP_PARAMS:
         print(f"unknown sweep parameter {args.param!r}; "
-              f"expected one of {SWEEP_PARAMS}", file=sys.stderr)
+              f"expected one of {tuple(SWEEP_PARAMS)}", file=sys.stderr)
         return 2
     try:
         values = [float(v) for v in args.values.split(",")]
     except ValueError as exc:
         print(f"bad values: {exc}", file=sys.stderr)
         return 2
-    # the flags each sweep reads; any other given exits 2 naming it
-    reads = {"t_L": ("--figure", "--dt"), "a_lat_max": ("--figure", "--dt"),
-             "N": ("--s-T",)}.get(args.param, ())
     for flag, value in (("--figure", args.figure), ("--dt", args.dt),
                         ("--s-T", args.s_T)):
-        if value is not None and flag not in reads:
+        if value is not None and flag not in SWEEP_PARAMS[args.param]:
             print(f"config error: {flag}: sweep --param {args.param} does "
                   "not read it", file=sys.stderr)
             return 2
@@ -380,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="parameter sweeps")
     p_sw.add_argument("--param", required=True,
-                      help=f"one of {SWEEP_PARAMS}")
+                      help=f"one of {tuple(SWEEP_PARAMS)}")
     p_sw.add_argument("--values", required=True,
                       help="comma-separated values")
     p_sw.add_argument("--figure", help="base scenario for trace sweeps")
@@ -407,7 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:   # from _out_dir
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ Blocks: ``vehicle`` (the ``VehicleParams`` fields), ``path`` (kind plus
 profile fields), ``controller`` (mode, law, wrapper index and the
 ``ControlGains`` fields), ``sim`` (timing, speed, initial state) and
 ``output``. Unknown blocks or keys are rejected, and so is a vehicle,
-controller or sim key that the mode does not read (``sim.MODE_READS``);
+controller or sim key that the scenario does not read (``Scenario.reads``);
 all units are SI. ``dump_config`` emits the canonical form, which holds
-only the keys the mode reads and re-parses to an identical scenario.
+only the keys the scenario reads and re-parses to an identical scenario.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from .errors import ConfigError
 from .params import ControlGains, VehicleParams
 from .path import CurvatureProfile
-from .sim import (CONTROLLER_KEYS, GAIN_KEYS, MODE_READS, MODES, SIM_KEYS,
+from .sim import (CONTROLLER_KEYS, GAIN_KEYS, MODE_READS, SIM_KEYS,
                   VEHICLE_KEYS, Scenario)
 
 _BLOCKS = {"vehicle": VEHICLE_KEYS,
@@ -117,13 +117,6 @@ def scenario_from_config(text: str, source: str = "<config>") -> tuple[Scenario,
     blocks = parse_blocks(text, source)
     cb = dict(blocks.get("controller", {}))
     mode = cb.pop("mode", "steer_only")
-    if mode not in MODES:
-        raise ConfigError(f"{source}: key 'mode': unknown mode {mode!r}")
-    for block in _MODE_BLOCKS:
-        for key in blocks.get(block, {}):
-            if key not in MODE_READS[mode]:
-                raise ConfigError(f"{source}: key {key!r}: mode {mode} "
-                                  "does not read it")
     params = VehicleParams(**_floats(blocks.get("vehicle", {}), source))
 
     law = cb.pop("law", "wrapped")
@@ -158,6 +151,13 @@ def scenario_from_config(text: str, source: str = "<config>") -> tuple[Scenario,
                             **sim_kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
+    # the Scenario holds unread keys at their defaults; here none may be given
+    for block in _MODE_BLOCKS:
+        for key in blocks.get(block, {}):
+            if key not in scenario.reads:
+                under = f" under law {law}" if key in MODE_READS[mode] else ""
+                raise ConfigError(f"{source}: key {key!r}: mode {mode} "
+                                  f"does not read it{under}")
     return scenario, output
 
 
@@ -181,8 +181,7 @@ def dump_config(sc: Scenario, output: dict | None = None) -> str:
         lines.append(f"{name} {{")
         for key in keys:
             value = held.get(key)
-            if value is None or (name in _MODE_BLOCKS
-                                 and key not in MODE_READS[sc.mode]):
+            if value is None or (name in _MODE_BLOCKS and key not in sc.reads):
                 continue
             lines.append(f"    {key} = {value}" if isinstance(value, str)
                          else f"    {key} = {value:.17g}")

@@ -97,11 +97,6 @@ def wrapper_deriv(spec: WrapperSpec, x: float) -> float:
     return math.exp(-0.5 * spec.n * math.log1p((c * x) ** 2))
 
 
-def feedforward_steer(kappa_ref: float, l: float) -> float:
-    """Steering angle that traces curvature kappa_ref; kept for the paper."""
-    return math.atan(kappa_ref * l)
-
-
 def feedback_law(gains: ControlGains, law: str = "wrapped",
                  wrapper_n: float = 2):
     """The feedback steering law as a function ``fb(e_C, theta_C, gamma_sat)``.

@@ -33,10 +33,6 @@ class AmbiguousProjection(NonholoError):
     """Two distinct path points are equidistant from the query point."""
 
 
-class BadSplit(NonholoError):
-    """Drivetrain torque split ratio outside [0, 1]."""
-
-
 class DegenerateEquilibrium(NonholoError):
     """Longitudinal equilibrium undefined (target speed saturates)."""
 

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadSplit, LagrangeSingularity, SteeringSingularity
+from .errors import LagrangeSingularity, SteeringSingularity
 from .params import GRAVITY, VehicleParams
 
 GAMMA_GUARD = 1e-9  # distance from the singular angle at which guards trip
@@ -120,33 +120,10 @@ _ALT_PSEUDO = Variant.SKATE_FORCE_ALT_PSEUDO
 _LAGRANGE = Variant.SKATE_FORCE_LAGRANGE
 
 
-@dataclass(frozen=True)
-class Environment:
-    """Resistance environment: rolling resistance, air drag, grade, wind."""
-
-    zeta: float = 0.0     # rolling resistance coefficient
-    rho: float = 0.0      # air drag coefficient [kg/m]
-    g: float = GRAVITY
-    theta: float = 0.0    # road inclination [rad]
-    v_w: float = 0.0      # headwind speed [m/s]
-
-
 def _guard_gamma(gamma: float) -> None:
     if abs(gamma) >= 0.5 * math.pi - GAMMA_GUARD:
         raise SteeringSingularity(
             f"|gamma| = {abs(gamma):.9f} rad at the tan(gamma) singularity")
-
-
-def resistance_pseudo_force(F_R: float, F_F: float, gamma: float,
-                            sigma1: float, env: Environment,
-                            params: VehicleParams) -> float:
-    """Longitudinal pseudo-force including rolling, grade and drag losses."""
-    _guard_gamma(gamma)
-    m1 = params.m1
-    return (F_R + F_F / math.cos(gamma)
-            - env.zeta * m1 * env.g * math.cos(env.theta)
-            - m1 * env.g * math.sin(env.theta)
-            - env.rho * (env.v_w + sigma1) ** 2)
 
 
 def speed_rate(Pi1: float, sigma1: float, tan_gamma: float, cos_gamma: float,
@@ -165,21 +142,19 @@ def steer_rate(T_s: float, V: float, sigma2: float, cos_gamma: float,
 
 
 def eom_rhs(variant: Variant, state, u: DriveInput, params: VehicleParams,
-            V: float | None = None, env: Environment | None = None) -> np.ndarray:
+            V: float | None = None) -> np.ndarray:
     """Right-hand side of the chosen model's equations of motion.
 
     ``state`` is ordered per ``STATE_FIELDS[variant]``. Constrained-speed
     variants take the constant longitudinal speed ``V``; it is a parameter,
-    never integrated. ``env``, when given, replaces the driving pseudo-force
-    with the resistance-corrected one in the force/torque driven variants.
+    never integrated.
     """
     return np.array(eom_floats(variant, np.asarray(state, dtype=float).tolist(),
-                               u, params, V, env))
+                               u, params, V))
 
 
 def eom_floats(variant: Variant, y, u: DriveInput, params: VehicleParams,
-               V: float | None = None,
-               env: Environment | None = None) -> list[float]:
+               V: float | None = None) -> list[float]:
     """The closed forms of :func:`eom_rhs` on a state of Python floats.
 
     Returns the derivative as a list. Integrators that keep their state as a
@@ -217,9 +192,6 @@ def eom_floats(variant: Variant, y, u: DriveInput, params: VehicleParams,
         t = math.tan(g_)
         cot = 1.0 / t
         Pi1 = u.F_R + u.F_F / math.cos(g_)
-        if env is not None:
-            # sigma1 on the constraint manifold equals l*sigma1_bar/tan(gamma)
-            Pi1 = resistance_pseudo_force(u.F_R, u.F_F, g_, l * s1b / t, env, params)
         return [(l * math.cos(psi) * cot - d * math.sin(psi)) * s1b,
                 (l * math.sin(psi) * cot + d * math.cos(psi)) * s1b,
                 s1b,
@@ -252,10 +224,6 @@ def eom_floats(variant: Variant, y, u: DriveInput, params: VehicleParams,
 
     # force/torque driven: sigma1 is sp for both kinds of steering
     Pi1 = (u.T_R + u.T_F / cg) / params.r if wheel else u.F_R + u.F_F / cg
-    if env is not None:
-        F_R, F_F = (u.T_R / params.r, u.T_F / params.r) if wheel \
-            else (u.F_R, u.F_F)
-        Pi1 = resistance_pseudo_force(F_R, F_F, g_, sp, env, params)
     if not torque_steer:
         out.append(speed_rate(Pi1, sp, t, cg, u.gamma_dot, u.gamma_ddot,
                               params))
@@ -341,42 +309,3 @@ def constraining_forces(sigma1: float, gamma: float, gamma_dot: float,
     mu_F = Ftil_F * l / (m1 * GRAVITY * d)
     return ConstraintForces(Ftil_R, Ftil_F, mu_R, mu_F)
 
-
-def drivetrain_split(F_res: float, beta: float) -> tuple[float, float]:
-    """Split a resultant driving force between rear and front axles."""
-    if not 0.0 <= beta <= 1.0:
-        raise BadSplit(f"torque split ratio {beta} outside [0, 1]")
-    return beta * F_res, (1.0 - beta) * F_res
-
-
-def lateral_acceleration(speed: float, gamma: float, l: float) -> float:
-    """Rear-axle lateral acceleration V^2 tan(gamma)/l; kept for the paper."""
-    _guard_gamma(gamma)
-    return speed ** 2 * math.tan(gamma) / l
-
-
-PSEUDO_CHOICES = ("sigma1", "psidot", "xGdot", "yGdot", "frontwheel")
-
-
-def pseudo_velocity_determinant(choice: str, psi: float, gamma: float,
-                                params: VehicleParams) -> float:
-    """Determinant of the constraint+pseudo-velocity coefficient matrix.
-
-    Zero marks configurations where the chosen pseudo-velocity cannot
-    parameterize the generalized velocities.
-    """
-    l, d = params.l, params.d
-    if choice == "sigma1":
-        return l * math.cos(gamma)
-    if choice == "psidot":
-        return math.sin(gamma)
-    if choice == "xGdot":
-        return l * math.cos(psi) * math.cos(gamma) \
-            - d * math.sin(psi) * math.sin(gamma)
-    if choice == "yGdot":
-        return l * math.sin(psi) * math.cos(gamma) \
-            + d * math.cos(psi) * math.sin(gamma)
-    if choice == "frontwheel":
-        return l
-    raise ValueError(f"unknown pseudo-velocity choice {choice!r}; "
-                     f"expected one of {PSEUDO_CHOICES}")

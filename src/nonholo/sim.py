@@ -97,18 +97,27 @@ class Scenario:
             WrapperSpec(self.wrapper_n, 1.0)
         except ValueError as exc:
             raise ValueError(f"key 'wrapper_n': {exc}") from exc
-        reads = MODE_READS[self.mode]
         for holder, keys in ((self.params, VEHICLE_KEYS),
                              (self.gains, GAIN_KEYS),
                              (self, CONTROLLER_KEYS + SIM_KEYS)):
             for f in fields(holder):
-                if (f.name in keys and f.name not in reads
+                if (f.name in keys and f.name not in self.reads
                         and getattr(holder, f.name) != f.default):
+                    law = f" under law {self.law}" \
+                        if f.name in MODE_READS[self.mode] else ""
                     raise ValueError(f"key '{f.name}': {self.mode} does not "
-                                     f"read it, so it must stay {f.default!r}")
+                                     f"read it{law}, so it must stay {f.default!r}")
         kappa0 = self.profile.kappa(self.s0)
         if abs(kappa0 * self.e0) >= 1.0:
             raise ValueError("initial state outside the curvature tube")
+
+    @property
+    def reads(self) -> frozenset[str]:
+        """``MODE_READS[mode]``, less what only the wrapped law reads."""
+        reads = MODE_READS[self.mode]
+        if "law" in reads and self.law != "wrapped":
+            return reads - {"gamma_max", "a_lat_max", "wrapper_n"}
+        return reads
 
     @property
     def variant(self) -> Variant:

@@ -2,9 +2,9 @@
 
 These deliberately take different routes than the library code: Lagrange
 multipliers in their raw published form, Newtonian contact forces evaluated
-from accelerations, determinants from explicitly assembled matrices, wrapper
-values from adaptive quadrature of the defining derivative, and steering
-derivatives from finite differences along the simulated flow.
+from accelerations, wrapper values from adaptive quadrature of the defining
+derivative, and steering derivatives from finite differences along the
+simulated flow.
 """
 
 import math
@@ -110,30 +110,6 @@ def steer_derivatives_by_flow(y0, V, profile, gains, gamma_sat,
     g = [gamma_at(flow(y0, k * h2)) for k in (-2, -1, 0, 1, 2)]
     fd2 = (-g[0] + 16 * g[1] - 30 * g[2] + 16 * g[3] - g[4]) / (12 * h2 * h2)
     return fd1, fd2
-
-
-def pseudo_matrix(choice, psi, gamma, params: VehicleParams):
-    """Constraint + pseudo-velocity coefficient matrix, assembled explicitly."""
-    l, d = params.l, params.d
-    rows = [
-        [math.sin(psi), -math.cos(psi), d],
-        [math.sin(psi + gamma), -math.cos(psi + gamma),
-         -(l - d) * math.cos(gamma)],
-    ]
-    if choice == "sigma1":
-        rows.append([math.cos(psi), math.sin(psi), 0.0])
-    elif choice == "psidot":
-        rows.append([0.0, 0.0, 1.0])
-    elif choice == "xGdot":
-        rows.append([1.0, 0.0, 0.0])
-    elif choice == "yGdot":
-        rows.append([0.0, 1.0, 0.0])
-    elif choice == "frontwheel":
-        rows.append([math.cos(psi + gamma), math.sin(psi + gamma),
-                     (l - d) * math.sin(gamma)])
-    else:
-        raise ValueError(choice)
-    return np.array(rows)
 
 
 def wrapper_by_quadrature(n, g_sat, x):

@@ -21,10 +21,9 @@ import pytest
 from nonholo.analysis import (linearize_kinematic, stability_grid,
                               verify_equivalence)
 from nonholo.control import (WrapperSpec, driving_force, feedback_law,
-                             feedforward_steer, longitudinal_accel,
-                             preview_max_curvature, steer_derivative_chain,
-                             steering_saturation, steering_torque,
-                             target_speed, wrapper)
+                             longitudinal_accel, preview_max_curvature,
+                             steer_derivative_chain, steering_saturation,
+                             steering_torque, target_speed, wrapper)
 from nonholo.models import (DriveInput, Variant, constraining_forces,
                             constraint_residuals, eom_floats, eom_rhs)
 from nonholo.path import (CurvatureProfile, PathQuery, build_path,
@@ -295,7 +294,7 @@ def test_plant_rows_are_the_model_rows(fig17, fig20):
     for i in np.linspace(0, len(fig17.t) - 1, 50).astype(int):
         s, e, th, gam, s2 = _columns(fig17, i, ("s_C", "e_C", "theta_C",
                                                 "gamma", "sigma2"))
-        gdes = feedforward_steer(sc.profile.kappa(s + sc.V * g.t_L), p.l) \
+        gdes = math.atan(sc.profile.kappa(s + sc.V * g.t_L) * p.l) \
             + feedback_law(g)(e, th, gsat)
         u = DriveInput(T_s=steering_torque(gam, gdes, g))
         y = _columns(fig17, i, ("x_G", "y_G", "psi")) + [gam, s2]

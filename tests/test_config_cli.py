@@ -157,15 +157,35 @@ _BINDING = {
     "s0": "10", "gamma0": "0.01", "sigma2_0": "0.01",
 }
 _ALL_KEYS = tuple(k for b in _MODE_BLOCKS for k in _BLOCKS[b])
-_UNREAD = [(mode, key) for mode in MODES for key in _ALL_KEYS
-           if key not in MODE_READS[mode]]
-_READ = [(mode, key) for mode in MODES for key in _ALL_KEYS
-         if key in MODE_READS[mode]]
+
+
+def _reads(mode: str, law: str) -> frozenset[str]:
+    return replace(named_scenario("fig13"), mode=mode, law=law).reads
+
+
+def _cases(read: bool):
+    """(mode, law, key) over every law the mode reads, for the keys that a
+    scenario of that mode and law reads (or does not); a wrapped case's id
+    is mode-key."""
+    return [pytest.param(mode, law, key, id="-".join(
+                (mode, key) if law == "wrapped" else (mode, law, key)))
+            for mode in MODES
+            for law in (LAWS if "law" in MODE_READS[mode] else ("wrapped",))
+            for key in _ALL_KEYS if (key in _reads(mode, law)) == read]
+
+
+_UNREAD = _cases(read=False)
+_READ = _cases(read=True)
 
 
 def _holder(sc, key: str):
     """The scenario, vehicle or gain object with the field ``key``."""
     return next(h for h in (sc.params, sc.gains, sc) if hasattr(h, key))
+
+
+def _law(law: str) -> dict[str, str]:
+    """The controller key that selects ``law``; none for the default."""
+    return {} if law == "wrapped" else {"law": law}
 
 
 def _block_of(key: str) -> str:
@@ -189,27 +209,35 @@ class TestModeReads:
         assert {m: len(MODE_READS[m]) for m in MODES} == {
             "none": 9, "steer_only": 15, "steer_torque": 21,
             "steer_longitudinal": 23}
+        # the linear and nonlinear laws read neither the steering bound
+        # (gamma_max, a_lat_max) nor wrapper_n
+        assert {(m, law): len(_reads(m, law))
+                for m in ("steer_only", "steer_torque")
+                for law in ("linear", "nonlinear")} == {
+            ("steer_only", "linear"): 12, ("steer_only", "nonlinear"): 12,
+            ("steer_torque", "linear"): 18, ("steer_torque", "nonlinear"): 18}
 
-    @pytest.mark.parametrize("mode,key", _UNREAD)
+    @pytest.mark.parametrize("mode,law,key", _UNREAD)
     @pytest.mark.parametrize("dump", [False, True])
-    def test_unread_key_exit_2(self, tmp_path, capsys, mode, key, dump):
+    def test_unread_key_exit_2(self, tmp_path, capsys, mode, law, key, dump):
         # even at its default value
-        default = getattr(_holder(scenario_from_config(_base_config(mode))[0],
-                                  key), key)
+        default = getattr(_holder(
+            scenario_from_config(_base_config(mode, **_law(law)))[0], key), key)
         cfg = tmp_path / "unread.cfg"
-        cfg.write_text(_base_config(mode, **{key: f"{default}"}))
+        cfg.write_text(_base_config(mode, **_law(law), **{key: f"{default}"}))
         out = tmp_path / "out"
         rc = main(["simulate", "--config", str(cfg), "--out", str(out),
                    *(["--dump-config"] if dump else [])])
         assert rc == 2
         captured = capsys.readouterr()
         assert f"'{key}': mode {mode} does not read it" in captured.err
+        assert (f"under law {law}" in captured.err) == (key in MODE_READS[mode])
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("mode,key", _UNREAD)
-    def test_scenario_holds_unread_key_at_default(self, mode, key):
-        sc = scenario_from_config(_base_config(mode))[0]
+    @pytest.mark.parametrize("mode,law,key", _UNREAD)
+    def test_scenario_holds_unread_key_at_default(self, mode, law, key):
+        sc = scenario_from_config(_base_config(mode, **_law(law)))[0]
         holder = _holder(sc, key)
         value = {key: type(getattr(holder, key))(_BINDING[key])}
         with pytest.raises(ValueError, match=f"'{key}': {mode} does not read"):
@@ -220,19 +248,23 @@ class TestModeReads:
             else:
                 replace(sc, gains=replace(sc.gains, **value))
 
-    @pytest.mark.parametrize("mode,key", _READ)
-    def test_read_key_changes_trace(self, mode, key):
+    @pytest.mark.parametrize("mode,law,key", _READ)
+    def test_read_key_changes_trace(self, mode, law, key):
         if (mode, key) == ("none", "l"):
             # with the wheel held straight, l cancels out of every column;
             # the mode reads it as the bound of d (l > d)
             with pytest.raises(ValueError, match="l > d"):
                 scenario_from_config(_base_config(mode, l="1"))
             return
-        base = run_scenario(scenario_from_config(_base_config(mode))[0])
+        base = run_scenario(
+            scenario_from_config(_base_config(mode, **_law(law)))[0])
         if key == "mode":
             text = _base_config("steer_only" if mode == "none" else "none")
         else:
-            text = _base_config(mode, **{key: _BINDING[key]})
+            value = _BINDING[key]
+            if key == "law" and value == law:
+                value = "wrapped"
+            text = _base_config(mode, **{**_law(law), key: value})
         changed = run_scenario(scenario_from_config(text)[0])
         assert any(base.has(n) != changed.has(n) or (
             base.has(n) and not np.array_equal(base[n], changed[n]))
@@ -412,6 +444,32 @@ class TestCli:
             main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert word in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--figure", "fig13", "--dt", "0.1", "--no-plot"],
+        ["stability", "--k1", "-1", "0", "2", "--k2", "0", "0.1", "2"],
+        ["sweep", "--param", "wrapper_n", "--values", "2"],
+        ["path", "--kind", "periodic"],
+    ], ids=lambda argv: argv[0])
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys, argv):
+        dest = tmp_path / "F"
+        dest.write_text("keep\n")
+        rc = main([*argv, "--out", str(dest)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err
+        assert dest.read_text() == "keep\n"
+
+    def test_config_dir_is_a_file_exit_2(self, tmp_path, capsys):
+        dest = tmp_path / "F"
+        dest.write_text("keep\n")
+        cfg = tmp_path / "dir.cfg"
+        cfg.write_text(f"sim {{\n    duration = 0.1\n}}\n"
+                       f"output {{\n    dir = {dest}\n    plot = false\n}}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "'dir'" in err and "--out" not in err
+        assert dest.read_text() == "keep\n"
 
     def test_simulate_dt_zero_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonholo.control import (WrapperSpec, driving_force, feedback_law,
-                             feedforward_steer, longitudinal_accel,
-                             preview_max_curvature, steer_derivative_chain,
-                             steering_saturation, steering_torque,
-                             target_speed, wrapper, wrapper_deriv)
+                             longitudinal_accel, preview_max_curvature,
+                             steer_derivative_chain, steering_saturation,
+                             steering_torque, target_speed, wrapper,
+                             wrapper_deriv)
 from nonholo.models import DriveInput, Variant, eom_rhs
 from nonholo.params import ControlGains
 from nonholo.path import CurvatureProfile
@@ -77,13 +77,6 @@ class TestWrapperFamily:
 
 
 class TestSteering:
-    def test_feedforward_values(self):
-        assert feedforward_steer(0.0, 2.57) == 0.0
-        assert feedforward_steer(1.0 / 200.0, 2.57) == \
-            pytest.approx(0.0128493, abs=1e-6)
-        assert feedforward_steer(0.004 * math.pi, 2.57) == \
-            pytest.approx(0.0322844, abs=1e-6)
-
     def test_all_laws_vanish_at_zero(self, gains):
         for law in ("linear", "nonlinear", "wrapped"):
             assert feedback_law(gains, law)(0.0, 0.0, 0.1) == 0.0

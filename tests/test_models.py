@@ -2,15 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from nonholo.errors import (BadSplit, LagrangeSingularity, SteeringSingularity)
+from nonholo.errors import LagrangeSingularity, SteeringSingularity
 from nonholo.models import (CONSTRAINED_SPEED, INPUT_FIELDS, STATE_FIELDS,
-                            WHEEL_VARIANTS, DriveInput, Environment, Variant,
-                            constraining_forces, constraint_residuals,
-                            drivetrain_split, eom_rhs, lateral_acceleration,
-                            pseudo_velocity_determinant,
-                            resistance_pseudo_force)
+                            WHEEL_VARIANTS, DriveInput, Variant,
+                            constraining_forces, constraint_residuals, eom_rhs)
 from nonholo.params import GRAVITY
 
 import oracles
@@ -285,85 +281,3 @@ class TestConstrainingForces:
         assert forces.mu_F == pytest.approx(
             forces.F_F_lat * l / (m1 * GRAVITY * d), rel=1e-14)
 
-
-class TestDrivetrainAndResistance:
-    @pytest.mark.parametrize("beta,expect", [
-        (1.0, (1000.0, 0.0)),
-        (0.0, (0.0, 1000.0)),
-        (0.4, (400.0, 600.0)),
-    ])
-    def test_split_examples(self, beta, expect):
-        assert drivetrain_split(1000.0, beta) == pytest.approx(expect)
-
-    def test_bad_split(self):
-        with pytest.raises(BadSplit):
-            drivetrain_split(100.0, 1.2)
-
-    @given(st.floats(-1e4, 1e4), st.floats(0.0, 1.0))
-    def test_split_sums(self, F, beta):
-        F_R, F_F = drivetrain_split(F, beta)
-        assert F_R + F_F == pytest.approx(F, abs=1e-9)
-
-    def test_resistance_reduces_to_driving_pseudo_force(self, params):
-        env = Environment()
-        got = resistance_pseudo_force(500.0, 200.0, 0.3, 20.0, env, params)
-        assert got == pytest.approx(500.0 + 200.0 / math.cos(0.3), rel=1e-14)
-
-    def test_resistance_level_road_value(self, params):
-        env = Environment(zeta=0.01, rho=0.4)
-        got = resistance_pseudo_force(500.0, 0.0, 0.0, 20.0, env, params)
-        expected = 500.0 - 0.01 * 1790.0 * 9.81 - 0.4 * 20.0 ** 2
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got == pytest.approx(164.401, abs=1e-3)
-
-    def test_uphill_decelerates(self, params):
-        env = Environment(theta=0.05)
-        assert resistance_pseudo_force(0.0, 0.0, 0.0, 10.0, env, params) < 0.0
-
-    def test_eom_with_environment(self, params):
-        env = Environment(zeta=0.015, rho=0.35, theta=0.02, v_w=3.0)
-        y = [0.0, 0.0, 0.2, 22.0]
-        u = DriveInput(gamma=0.1, gamma_dot=0.05, gamma_ddot=0.01,
-                       F_R=900.0, F_F=300.0)
-        dy = eom_rhs(Variant.SKATE_FORCE, y, u, params, env=env)
-        pi1 = resistance_pseudo_force(900.0, 300.0, 0.1, 22.0, env, params)
-        t = math.tan(0.1)
-        num = (pi1 - params.m2 * t / math.cos(0.1) ** 2 * 22.0 * 0.05
-               - params.J_F / params.l * 0.01 * t)
-        assert dy[3] == pytest.approx(num / (params.m1 + params.m2 * t * t),
-                                      rel=1e-14)
-
-
-class TestLateralAcceleration:
-    def test_zero_steer(self):
-        assert lateral_acceleration(20.0, 0.0, 2.57) == 0.0
-
-    def test_reference_value(self):
-        got = lateral_acceleration(20.0, 0.0257, 2.57)
-        assert got == pytest.approx(400.0 * math.tan(0.0257) / 2.57, rel=1e-15)
-        assert got == pytest.approx(4.001, abs=2e-3)
-
-    def test_circular_motion_identity(self):
-        l = 2.57
-        assert lateral_acceleration(20.0, math.atan(l / 200.0), l) == \
-            pytest.approx(400.0 / 200.0, rel=1e-14)
-
-
-class TestPseudoVelocityDeterminants:
-    def test_reference_values(self, params):
-        assert pseudo_velocity_determinant("sigma1", 0.7, 0.0, params) == \
-            pytest.approx(2.57)
-        assert pseudo_velocity_determinant("psidot", 0.7, 0.0, params) == 0.0
-        assert pseudo_velocity_determinant("frontwheel", 0.7, 0.9, params) == \
-            pytest.approx(2.57)
-
-    @pytest.mark.parametrize("choice", ["sigma1", "psidot", "xGdot", "yGdot",
-                                        "frontwheel"])
-    def test_against_matrix_determinant(self, choice, params, rng):
-        for _ in range(50):
-            psi = rng.uniform(-math.pi, math.pi)
-            gamma = rng.uniform(-1.4, 1.4)
-            closed = pseudo_velocity_determinant(choice, psi, gamma, params)
-            numeric = np.linalg.det(oracles.pseudo_matrix(choice, psi, gamma,
-                                                          params))
-            assert closed == pytest.approx(numeric, abs=1e-12)
