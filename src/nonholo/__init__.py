@@ -25,7 +25,7 @@ from .analysis import (EquivalenceReport, EquivalenceScenario, LinearModel,
                        linearize_steering, routh_hurwitz_kinematic,
                        stability_grid, verify_equivalence)
 from .sim import (FIGURES, Scenario, SimTrace, integrate, named_scenario,
-                  rk4_step, run_scenario)
+                  run_scenario)
 
 # the names imported above; importing them also binds their submodules
 __all__ = sorted(name for name, value in globals().items()

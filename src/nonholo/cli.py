@@ -26,13 +26,17 @@ from .sim import (FIGURES, Scenario, SimTrace, _build_table, named_scenario,
 from .svgplot import Panel, figure_panels
 
 
-def _out_dir(out: str | None, key: str = "--out") -> Path:
-    """Create the output directory once the inputs are checked; ConfigError
-    names ``key`` when it cannot be created."""
-    path = Path(out or "out")
+def _out_dir(out: str | None, key: str = "--out", make: bool = True) -> Path:
+    """Check, then unless ``make`` is false create, the output directory."""
+    path = Path("out" if out is None else out)
     try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+        if out == "":
+            raise ValueError("the path is empty")
+        if any(p.is_file() for p in (path, *path.parents)):
+            raise NotADirectoryError(f"a file is in the way of {path}")
+        if make:
+            path.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
     return path
 
@@ -97,6 +101,9 @@ def cmd_simulate(args) -> int:
         if args.dump_config:
             print(dump_config(scenario), end="")
             return 0
+        out, key = (args.out, "--out") if args.out is not None or \
+            not args.config else (output["dir"], f"{args.config}: key 'dir'")
+        _out_dir(out, key, make=False)   # before the run, not after it
     except NonClosure as exc:
         print(f"config error: path key 'step' = {scenario.path_step:g}: {exc}",
               file=sys.stderr)
@@ -112,8 +119,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = _out_dir(args.out) if args.out or not args.config \
-        else _out_dir(output["dir"], f"{args.config}: key 'dir'")
+    out = _out_dir(out, key)
     trace.to_csv(out / "trace.csv")
     _print_summary(scenario, trace)
     if args.plot or (args.plot is None and output["plot"]):

@@ -141,6 +141,8 @@ def scenario_from_config(text: str, source: str = "<config>") -> tuple[Scenario,
     if plot_text not in ("true", "false"):
         raise ConfigError(f"{source}: key 'plot': expected true/false")
     output = {"dir": ob.get("dir", "out"), "plot": plot_text == "true"}
+    if not output["dir"]:
+        raise ConfigError(f"{source}: key 'dir': the path is empty")
 
     try:
         scenario = Scenario(name="config", profile=profile, mode=mode,

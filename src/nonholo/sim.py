@@ -10,7 +10,9 @@ deterministic given (scenario, dt).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 
 import numpy as np
 
@@ -179,22 +181,32 @@ def count_zero_crossings(e) -> int:
     return int(np.count_nonzero(np.diff(np.sign(live)) != 0))
 
 
-def rk4_step(rhs, t: float, y, h: float, a=None):
-    """One classical Runge-Kutta step for a state stored as a sequence.
+_RK4 = """def step(rhs, t, y, h, a=None):
+    [y#] = y
+    [a#] = rhs(t, y) if a is None else a
+    hh = 0.5 * h
+    [b#] = rhs(t + hh, [y# + hh * a#])
+    [c#] = rhs(t + hh, [y# + hh * b#])
+    [d#] = rhs(t + h, [y# + h * c#])
+    h6 = h / 6.0
+    return [y# + h6 * (a# + 2.0 * b# + 2.0 * c# + d#)]
+"""
+_FORM = re.compile(r"\[(.*?)\]")
 
-    ``a`` is stage 1, rhs(t, y), when the caller has already evaluated it.
-    """
-    n = len(y)
-    if a is None:
-        a = rhs(t, y)
-    yb = [y[i] + 0.5 * h * a[i] for i in range(n)]
-    b = rhs(t + 0.5 * h, yb)
-    yc = [y[i] + 0.5 * h * b[i] for i in range(n)]
-    c = rhs(t + 0.5 * h, yc)
-    yd = [y[i] + h * c[i] for i in range(n)]
-    d = rhs(t + h, yd)
-    return [y[i] + h / 6.0 * (a[i] + 2.0 * b[i] + 2.0 * c[i] + d[i])
-            for i in range(n)]
+
+@cache
+def _rk4_for(n: int):
+    """The RK4 step for n states: ``_RK4`` with each [...] written out once
+    per component, # standing for its index; generated on first use."""
+    code = _FORM.sub(lambda m: "[" + ", ".join(
+        m[1].replace("#", str(i)) for i in range(n)) + "]", _RK4)
+    exec(code, namespace := {})
+    return namespace["step"]
+
+
+def rk4_step(rhs, t: float, y, h: float, a=None):
+    """One RK4 step of a state sequence; ``a`` is rhs(t, y) if already known."""
+    return _rk4_for(len(y))(rhs, t, y, h, a)
 
 
 def integrate(rhs, y0, dt: float, duration: float, rows: bool = False):
@@ -208,6 +220,7 @@ def integrate(rhs, y0, dt: float, duration: float, rows: bool = False):
     """
     n_steps = int(round(duration / dt))
     y = list(y0)
+    step = _rk4_for(len(y))
     ts = np.empty(n_steps + 1)
     ys = np.empty((n_steps + 1, len(y)))
     ts[0] = 0.0
@@ -224,7 +237,7 @@ def integrate(rhs, y0, dt: float, duration: float, rows: bool = False):
                 out[k] = row
             if k == n_steps:
                 break
-            y = rk4_step(rhs, t, y, dt, a)
+            y = step(rhs, t, y, dt, a)
             ts[k + 1] = t + dt
             ys[k + 1] = y
     except ModelGuardError as exc:

@@ -194,3 +194,22 @@ def composed_longitudinal_loop(sc):
                     forces.mu_R, forces.mu_F)
 
     return steer_longitudinal
+
+
+def rk4_step_reference(rhs, t, y, h, a=None):
+    """One classical Runge-Kutta step, one comprehension per stage.
+
+    ``sim.rk4_step`` writes this step out per state length, in the same
+    float operations and order, so it must equal this bit for bit.
+    """
+    n = len(y)
+    if a is None:
+        a = rhs(t, y)
+    yb = [y[i] + 0.5 * h * a[i] for i in range(n)]
+    b = rhs(t + 0.5 * h, yb)
+    yc = [y[i] + 0.5 * h * b[i] for i in range(n)]
+    c = rhs(t + 0.5 * h, yc)
+    yd = [y[i] + h * c[i] for i in range(n)]
+    d = rhs(t + h, yd)
+    return [y[i] + h / 6.0 * (a[i] + 2.0 * b[i] + 2.0 * c[i] + d[i])
+            for i in range(n)]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from nonholo import cli
 from nonholo.cli import main
 from nonholo.config import (_BLOCKS, _MODE_BLOCKS, dump_config, parse_blocks,
                             scenario_from_config)
@@ -381,10 +382,12 @@ class TestCli:
             "controller {\n    mode = none\n}\n"
             "sim {\n    duration = 15\n    V = 20\n    theta0 = 1.5707963\n"
             "    dt = 0.005\n}\n")
-        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert rc == 3
         err = capsys.readouterr().err
         assert "guard tripped" in err and "t=" in err
+        assert not out.exists()
 
     def test_dump_config_round_trip(self, tmp_path, capsys):
         rc = main(["simulate", "--figure", "fig16", "--dump-config",
@@ -451,7 +454,8 @@ class TestCli:
         ["sweep", "--param", "wrapper_n", "--values", "2"],
         ["path", "--kind", "periodic"],
     ], ids=lambda argv: argv[0])
-    def test_out_is_a_file_exit_2(self, tmp_path, capsys, argv):
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys, no_run, argv):
+        # simulate finds out before the run: run_scenario must not be called
         dest = tmp_path / "F"
         dest.write_text("keep\n")
         rc = main([*argv, "--out", str(dest)])
@@ -460,7 +464,23 @@ class TestCli:
         assert "--out" in err and "Traceback" not in err
         assert dest.read_text() == "keep\n"
 
-    def test_config_dir_is_a_file_exit_2(self, tmp_path, capsys):
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        # a run that reached the integrator would fail here, not exit 2
+        def run_scenario(*args):
+            raise AssertionError("run_scenario was called")
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+
+    def test_out_below_a_file_exit_2_before_the_run(self, tmp_path, capsys,
+                                                    no_run):
+        dest = tmp_path / "F"
+        dest.write_text("keep\n")
+        rc = main(["simulate", "--figure", "fig20", "--out", str(dest / "sub")])
+        assert rc == 2
+        assert "--out" in capsys.readouterr().err
+        assert dest.read_text() == "keep\n"
+
+    def test_config_dir_is_a_file_exit_2(self, tmp_path, capsys, no_run):
         dest = tmp_path / "F"
         dest.write_text("keep\n")
         cfg = tmp_path / "dir.cfg"
@@ -470,6 +490,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "'dir'" in err and "--out" not in err
         assert dest.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--out", "X"], ["--dump-config"]],
+                             ids=["run", "run_out", "dump"])
+    def test_empty_config_dir_exit_2(self, tmp_path, monkeypatch, capsys,
+                                     no_run, extra):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "empty_dir.cfg"
+        cfg.write_text("sim {\n    duration = 0.1\n}\noutput {\n    dir =\n}\n")
+        assert main(["simulate", "--config", str(cfg), *extra]) == 2
+        captured = capsys.readouterr()
+        assert "'dir'" in captured.err and captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["empty_dir.cfg"]
+
+    def test_empty_out_exit_2(self, tmp_path, monkeypatch, capsys, no_run):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--figure", "fig13", "--out", ""]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_simulate_dt_zero_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -10,8 +10,8 @@ from nonholo.errors import GuardTripped, SteeringSingularity, TubeSingularity
 from nonholo.models import DriveInput, Variant, eom_rhs
 from nonholo.path import CurvatureProfile, build_path
 from nonholo.sim import (FIGURES, Scenario, _make_loop, count_zero_crossings,
-                         integrate, named_scenario, run_scenario)
-from oracles import composed_longitudinal_loop
+                         integrate, named_scenario, rk4_step, run_scenario)
+from oracles import composed_longitudinal_loop, rk4_step_reference
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,82 @@ class TestIntegrate:
         with pytest.raises(GuardTripped) as err:
             run_scenario(sc)
         assert 9.0 < err.value.time < 11.0
+
+
+def coupled_rhs(n, kind):
+    """A nonlinear right-hand side on n states that returns a derivative of
+    type ``kind``, and with ``diag`` also a row of two diagnostics."""
+    def rhs(t, y, diag=False):
+        dy = kind(math.sin(t + y[(i + 1) % n]) * (i + 1) - 0.3 * y[i]
+                  + 0.1 * y[i - 1] ** 2 for i in range(n))
+        return (dy, (sum(y), t)) if diag else dy
+    return rhs
+
+
+class TestRk4Step:
+    """The written-out step equals the comprehension form bit for bit."""
+
+    KINDS = [list, tuple, lambda items: np.array(list(items))]
+
+    @pytest.mark.parametrize("kind", KINDS, ids=["list", "tuple", "ndarray"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_step_equals_reference(self, n, kind):
+        rhs = coupled_rhs(n, kind)
+        y = [0.7 * i - 1.1 for i in range(n)]
+        for k in range(20):
+            t = 0.013 * k
+            want = rk4_step_reference(rhs, t, y, 0.013)
+            assert rk4_step(rhs, t, y, 0.013) == want
+            assert rk4_step(rhs, t, y, 0.013, rhs(t, y)) == want
+            # a given stage 1 is used as given, not recomputed
+            other = rhs(t + 0.5, y)
+            assert rk4_step(rhs, t, y, 0.013, other) == \
+                rk4_step_reference(rhs, t, y, 0.013, other)
+            y = want
+
+    @pytest.mark.parametrize("kind", KINDS, ids=["list", "tuple", "ndarray"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_integrate_equals_reference(self, n, kind):
+        rhs = coupled_rhs(n, kind)
+        y = [0.7 * i - 1.1 for i in range(n)]
+        want, want_rows = [y], []
+        for k in range(50):
+            t = k * 0.02
+            a, row = rhs(t, y, True)
+            want_rows.append(row)
+            y = rk4_step_reference(rhs, t, y, 0.02, a)
+            want.append(y)
+        want_rows.append(rhs(50 * 0.02, y, True)[1])
+        _, ys = integrate(rhs, want[0], 0.02, 1.0)
+        assert ys.tolist() == want
+        _, ys, rows = integrate(rhs, want[0], 0.02, 1.0, rows=True)
+        assert ys.tolist() == want
+        assert rows.tolist() == [list(row) for row in want_rows]
+
+    @pytest.mark.parametrize("stage", [2, 3, 4])
+    def test_guard_in_a_later_stage_reports_the_step_start(self, stage):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            if len(calls) == 4 * 7 + stage:   # step 7, the given stage
+                raise TubeSingularity("1 - kappa*e = 0")
+            return (1.0, -y[0])
+
+        with pytest.raises(GuardTripped) as err:
+            integrate(rhs, [0.0, 1.0], 0.01, 1.0)
+        assert err.value.time == 7 * 0.01
+        assert isinstance(err.value.cause, TubeSingularity)
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_derivative_of_wrong_length_raises(self, length):
+        def rhs(t, y):
+            return [1.0] * length
+
+        with pytest.raises(ValueError):
+            rk4_step(rhs, 0.0, [0.0, 0.0, 0.0], 0.01)
+        with pytest.raises(ValueError):
+            integrate(rhs, [0.0, 0.0, 0.0], 0.01, 0.1)
 
 
 class TestScenarios:
