@@ -124,8 +124,7 @@ def stability_grid(k1_values, k2_values, kappa_star: float, V: float, l: float,
 
 
 def linearize_steering(kappa_star: float, V: float, params: VehicleParams,
-                       gains: ControlGains,
-                       t_L: float | None = None) -> LinearModel:
+                       gains: ControlGains) -> LinearModel:
     """Lateral loop with steering-torque dynamics: states (e, theta, gamma, sigma2).
 
     Disturbance inputs are (kappa, kappa_prime); look-ahead only changes the
@@ -140,13 +139,12 @@ def linearize_steering(kappa_star: float, V: float, params: VehicleParams,
         [0.0, 0.0, 0.0, 1.0],
         [-k_s * k1 * k2 / J_F, -k_s * k1 / J_F, k_s / J_F, -V / l * one],
     ])
-    tl = gains.t_L if t_L is None else t_L
     gain_k = -k_s * l / (J_F * one)
     B = np.array([
         [0.0, 0.0],
         [-V, 0.0],
         [0.0, 0.0],
-        [gain_k, gain_k * V * tl],
+        [gain_k, gain_k * V * gains.t_L],
     ])
     return LinearModel(A, B, ("e", "theta", "gamma", "sigma2"),
                        ("kappa", "kappa_prime"))
@@ -273,8 +271,8 @@ def _integrate_open_loop(variant: Variant, y0, sc: EquivalenceScenario,
 
 
 def verify_equivalence(pair: str, params: VehicleParams,
-                       scenario: EquivalenceScenario | None = None,
-                       tol: float | None = None) -> EquivalenceReport:
+                       scenario: EquivalenceScenario | None = None
+                       ) -> EquivalenceReport:
     """Integrate an equivalent model pair and report the worst state deviation.
 
     Pairs: 'skate_wheel' (driving torques T = r*F reproduce the skate model),
@@ -285,9 +283,8 @@ def verify_equivalence(pair: str, params: VehicleParams,
     if pair not in DEFAULT_SCENARIOS:
         raise ValueError(f"unknown pair {pair!r}")
     sc = scenario or DEFAULT_SCENARIOS[pair]
-    default_tol = {"skate_wheel": 1e-9, "appell_lagrange": 1e-6,
-                   "alt_pseudo": 1e-9}[pair]
-    tol = default_tol if tol is None else tol
+    tol = {"skate_wheel": 1e-9, "appell_lagrange": 1e-6,
+           "alt_pseudo": 1e-9}[pair]
 
     base0 = [sc.x0, sc.y0, sc.psi0, sc.sigma1_0]
     ref = _integrate_open_loop(Variant.SKATE_FORCE, base0, sc, params,

@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error (first offending key named),
 3 model guard tripped during integration (message carries time and guard).
+The subcommands raise; ``main`` alone turns an exception into its exit code
+and its one line on stderr.
 """
 
 from __future__ import annotations
@@ -26,14 +28,20 @@ from .sim import (FIGURES, Scenario, SimTrace, _build_table, named_scenario,
 from .svgplot import Panel, figure_panels
 
 
+# cmd_stability peaks near 360 bytes a grid point, 0.22 GB at the cap
+STABILITY_POINTS_MAX = 600_000
+
+
 def _out_dir(out: str | None, key: str = "--out", make: bool = True) -> Path:
     """Check, then unless ``make`` is false create, the output directory."""
     path = Path("out" if out is None else out)
     try:
         if out == "":
             raise ValueError("the path is empty")
-        if any(p.is_file() for p in (path, *path.parents)):
-            raise NotADirectoryError(f"a file is in the way of {path}")
+        # a file or a dangling symlink at the path or above it is in the way
+        for p in (path, *path.parents):
+            if os.path.lexists(p) and not p.is_dir():
+                raise NotADirectoryError(f"{p} is in the way: not a directory")
         if make:
             path.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
@@ -84,41 +92,32 @@ def _print_summary(scenario: Scenario, trace: SimTrace) -> None:
           f"max residual = {float(np.max(trace['resid_max'])):.3g}")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     output = {"dir": "out", "plot": True}
-    try:
-        if args.config:
+    if args.config:
+        try:
             text = Path(args.config).read_text(encoding="utf-8")
-            scenario, output = scenario_from_config(text, source=args.config)
-        elif args.figure:
-            scenario = named_scenario(args.figure)
-        else:
-            print("simulate needs --figure or --config", file=sys.stderr)
-            return 2
-        if args.dt is not None:
-            scenario = replace(scenario, dt=args.dt)
-        table = _build_table(scenario)   # --dump-config checks the path too
-        if args.dump_config:
-            print(dump_config(scenario), end="")
-            return 0
-        out, key = (args.out, "--out") if args.out is not None or \
-            not args.config else (output["dir"], f"{args.config}: key 'dir'")
-        _out_dir(out, key, make=False)   # before the run, not after it
-    except NonClosure as exc:
-        print(f"config error: path key 'step' = {scenario.path_step:g}: {exc}",
-              file=sys.stderr)
-        return 2
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        except OSError as exc:
+            raise ConfigError(f"--config: {exc}") from None
+        scenario, output = scenario_from_config(text, source=args.config)
+    elif args.figure:
+        scenario = named_scenario(args.figure)
+    else:
+        raise ConfigError("simulate needs --figure or --config")
+    if args.dt is not None:
+        scenario = replace(scenario, dt=args.dt)
     try:
-        trace = run_scenario(scenario, table)
-    except GuardTripped as exc:
-        print(f"guard tripped: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        table = _build_table(scenario)   # --dump-config checks the path too
+    except NonClosure as exc:
+        raise ConfigError(f"path key 'step' = {scenario.path_step:g}: "
+                          f"{exc}") from None
+    if args.dump_config:
+        print(dump_config(scenario, output), end="")
+        return
+    out, key = (args.out, "--out") if args.out is not None or \
+        not args.config else (output["dir"], f"{args.config}: key 'dir'")
+    _out_dir(out, key, make=False)   # before the run, not after it
+    trace = run_scenario(scenario, table)
     out = _out_dir(out, key)
     trace.to_csv(out / "trace.csv")
     _print_summary(scenario, trace)
@@ -127,18 +126,15 @@ def cmd_simulate(args) -> int:
         print(f"wrote {out / 'trace.csv'} and {dest}")
     else:
         print(f"wrote {out / 'trace.csv'}")
-    return 0
 
 
 def _stability_axes(args):
     """The k1 and k2 axes and the kappa* values; ValueError names the flag."""
-    axes = []
     for flag, (lo, hi, n) in (("--k1", args.k1), ("--k2", args.k2)):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"{flag}: MIN and MAX must be finite")
         if not (1 <= n < math.inf and n == int(n)):
             raise ValueError(f"{flag}: N = {n:g} is not a positive integer")
-        axes.append(np.linspace(lo, hi, int(n)))
     try:
         kappas = [float(v) for v in args.kappa.split(",")]
     except ValueError as exc:
@@ -148,15 +144,17 @@ def _stability_axes(args):
     if not 0.0 < args.speed < math.inf:
         raise ValueError(f"--speed: {args.speed:g} is not finite and > 0; "
                          "the Routh-Hurwitz criterion assumes V > 0")
-    return (*axes, kappas)
+    n1, n2 = args.k1[2], args.k2[2]
+    if not n1 * n2 * len(kappas) <= STABILITY_POINTS_MAX:
+        raise ValueError(f"--k1 N x --k2 N x --kappa count = {n1:g} x "
+                         f"{n2:g} x {len(kappas)} is more than "
+                         f"{STABILITY_POINTS_MAX} grid points")
+    return (np.linspace(*args.k1[:2], int(n1)),
+            np.linspace(*args.k2[:2], int(n2)), kappas)
 
 
-def cmd_stability(args) -> int:
-    try:
-        k1, k2, kappas = _stability_axes(args)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+def cmd_stability(args) -> None:
+    k1, k2, kappas = _stability_axes(args)
     params = VehicleParams()
     dest = _out_dir(args.out) / "stability.csv"
     rows = [(r[0], r[1], kappa, *r[2:]) for kappa in kappas
@@ -175,7 +173,6 @@ def cmd_stability(args) -> int:
         eigs = ", ".join(f"{z:.6g}" for z in verdict.eigenvalues)
         print(f"k1={k1[0]:g} k2={k2[0]:g} kappa*={kappas[0]:g}: "
               f"{'stable' if verdict.stable else 'unstable'}, eigenvalues [{eigs}]")
-    return 0
 
 
 # each --param and the flags it reads; any other given exits 2 naming it
@@ -223,40 +220,32 @@ def _sweep_item(param: str, v: float, base: Scenario | None, s_T: float):
     return replace(base, gains=replace(base.gains, **{param: v}))
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     if args.param not in SWEEP_PARAMS:
-        print(f"unknown sweep parameter {args.param!r}; "
-              f"expected one of {tuple(SWEEP_PARAMS)}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--param: unknown sweep parameter {args.param!r}; "
+                          f"expected one of {tuple(SWEEP_PARAMS)}")
     try:
         values = [float(v) for v in args.values.split(",")]
     except ValueError as exc:
-        print(f"bad values: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--values: {exc}") from None
     for flag, value in (("--figure", args.figure), ("--dt", args.dt),
                         ("--s-T", args.s_T)):
         if value is not None and flag not in SWEEP_PARAMS[args.param]:
-            print(f"config error: {flag}: sweep --param {args.param} does "
-                  "not read it", file=sys.stderr)
-            return 2
+            raise ConfigError(f"{flag}: sweep --param {args.param} does "
+                              "not read it")
     s_T = 250.0 if args.s_T is None else args.s_T
     base = None
     if args.param in ("t_L", "a_lat_max"):
-        try:
-            base = named_scenario(
-                args.figure or ("fig17" if args.param == "t_L" else "fig20"),
-                dt=1e-3 if args.dt is None else args.dt)
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
+        base = named_scenario(
+            args.figure or ("fig17" if args.param == "t_L" else "fig20"),
+            dt=1e-3 if args.dt is None else args.dt)
     items = []
     for v in values:
         try:
             items.append(_sweep_item(args.param, v, base, s_T))
         except ValueError as exc:
-            print(f"config error: --param '{args.param}' value {v:g}: {exc}",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError(f"--param '{args.param}' value {v:g}: "
+                              f"{exc}") from None
 
     out = _out_dir(args.out)
     if args.param == "wrapper_n":
@@ -264,25 +253,21 @@ def cmd_sweep(args) -> int:
     if base is None:
         return _sweep_paths(items, out)
     rows = []
-    try:   # each lane's CSV is written as it arrives; see README on exit 3
-        for value, trace in zip(values, _run_concurrently(items), strict=True):
-            tail = trace.t >= trace.t[-1] * 0.4
-            rms = float(np.sqrt(np.mean(trace["e_C"][tail] ** 2)))
-            rows.append((value, rms))
-            trace.to_csv(out / f"trace_{args.param}_{value:g}.csv")
-            print(f"{args.param} = {value:g}: post-transient rms e_C = {rms:.5g} m")
-    except GuardTripped as exc:
-        print(f"guard tripped during sweep: {exc}", file=sys.stderr)
-        return 3
+    # each lane's CSV is written as it arrives; see README on exit 3
+    for value, trace in zip(values, _run_concurrently(items), strict=True):
+        tail = trace.t >= trace.t[-1] * 0.4
+        rms = float(np.sqrt(np.mean(trace["e_C"][tail] ** 2)))
+        rows.append((value, rms))
+        trace.to_csv(out / f"trace_{args.param}_{value:g}.csv")
+        print(f"{args.param} = {value:g}: post-transient rms e_C = {rms:.5g} m")
     dest = out / f"sweep_{args.param}.csv"
     write_csv(dest, (args.param, "rms_e"), list(zip(*rows)))
     best = min(rows, key=lambda r: r[1])
     print(f"minimum rms e_C = {best[1]:.5g} m at {args.param} = {best[0]:g}")
     print(f"wrote {dest}")
-    return 0
 
 
-def _sweep_wrapper(values, specs, out: Path) -> int:
+def _sweep_wrapper(values, specs, out: Path) -> None:
     xs = np.linspace(-6.0, 6.0, 601)
     dest = out / "wrapper_curves.csv"
     panels = [Panel("wrapper g_n(x)", "x", "g_n(x)"),
@@ -298,10 +283,9 @@ def _sweep_wrapper(values, specs, out: Path) -> int:
     write_csv(dest, header, cols)
     figure_panels(panels, out / "wrapper_curves.svg")
     print(f"wrote {dest} and {out / 'wrapper_curves.svg'}")
-    return 0
 
 
-def _sweep_paths(paths, out: Path) -> int:
+def _sweep_paths(paths, out: Path) -> None:
     panel = Panel("closed paths", "x [m]", "y [m]", equal_aspect=True)
     for prof, table in paths:
         label = f"N={prof.N}, s_T={prof.s_T:g}"
@@ -310,29 +294,23 @@ def _sweep_paths(paths, out: Path) -> int:
         print(f"{label}: perimeter {table.perimeter:.1f} m, closed")
     figure_panels([panel], out / "paths.svg", columns=1)
     print(f"wrote {out / 'paths.svg'}")
-    return 0
 
 
-def cmd_path(args) -> int:
+def cmd_path(args) -> None:
     for key, kind in _KIND_KEYS.items():
         if getattr(args, key) is not None and args.kind != kind:
-            print(f"path error: --{key.replace('_', '-')}: only a {kind} "
-                  f"path reads it, not a {args.kind} path", file=sys.stderr)
-            return 2
-    try:
-        if args.kind == "straight":
-            profile = CurvatureProfile.straight()
-        elif args.kind == "circle":
-            profile = CurvatureProfile.circle(
-                200.0 if args.radius is None else args.radius)
-        else:
-            profile = CurvatureProfile.periodic(
-                4 if args.N is None else args.N,
-                250.0 if args.s_T is None else args.s_T)
-        table = build_path(profile, step=args.step, length=args.length)
-    except (ValueError, NonholoError) as exc:
-        print(f"path error: {exc}", file=sys.stderr)
-        return 2
+            raise ConfigError(f"--{key.replace('_', '-')}: only a {kind} "
+                              f"path reads it, not a {args.kind} path")
+    if args.kind == "straight":
+        profile = CurvatureProfile.straight()
+    elif args.kind == "circle":
+        profile = CurvatureProfile.circle(
+            200.0 if args.radius is None else args.radius)
+    else:
+        profile = CurvatureProfile.periodic(
+            4 if args.N is None else args.N,
+            250.0 if args.s_T is None else args.s_T)
+    table = build_path(profile, step=args.step, length=args.length)
     out = _out_dir(args.out)
     dest = out / "path.csv"
     table.to_csv(dest)
@@ -344,7 +322,6 @@ def cmd_path(args) -> int:
         panel.add(args.kind, table.x, table.y)
         figure_panels([panel], out / "path.svg", columns=1)
         print(f"wrote {out / 'path.svg'}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,12 +393,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place that maps failures to exit codes."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:   # from _out_dir
+        args.func(args)
+    except GuardTripped as exc:
+        print(f"guard tripped during {args.command}: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, NonholoError) as exc:   # ConfigError among them
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

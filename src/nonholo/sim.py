@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cache
 
 import numpy as np
@@ -500,13 +500,10 @@ def _constraint_residual_rows(sc: Scenario, ys, diag, psic):
 
 # -- named scenarios reproducing the experiments -----------------------------
 
-def named_scenario(name: str, params: VehicleParams | None = None,
-                   gains: ControlGains | None = None,
-                   dt: float = 1e-3) -> Scenario:
+def named_scenario(name: str, dt: float = 1e-3) -> Scenario:
     """Built-in scenario definitions for the reference experiments."""
-    gains = gains or ControlGains()
-    base = dict(params=params or VehicleParams(), gains=gains, dt=dt,
-                V=20.0, e0=-10.0)
+    base = dict(params=VehicleParams(), gains=ControlGains(), dt=dt, V=20.0,
+                e0=-10.0)
     if name == "fig13":
         return Scenario(name=name, profile=CurvatureProfile.straight(),
                         mode="steer_only", duration=30.0, **base)
@@ -521,14 +518,14 @@ def named_scenario(name: str, params: VehicleParams | None = None,
         return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
                         mode="steer_torque", duration=50.0, **base)
     if name == "fig18":
-        base["gains"] = replace(gains, t_L=0.3)
+        base["gains"] = ControlGains(t_L=0.3)
         return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
                         mode="steer_torque", duration=50.0, **base)
     if name == "fig20":
         return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
                         mode="steer_longitudinal", duration=60.0, **base)
     if name == "fig21":
-        base["gains"] = replace(gains, a_lat_max=12.0)
+        base["gains"] = ControlGains(a_lat_max=12.0)
         return Scenario(name=name, profile=CurvatureProfile.periodic(4, 50.0),
                         mode="steer_longitudinal", duration=30.0, **base)
     raise ValueError(f"unknown scenario {name!r}; known: {sorted(FIGURES)}")

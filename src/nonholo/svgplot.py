@@ -36,10 +36,10 @@ def _range(cols) -> tuple[float, float]:
     return (float(v.min()), float(v.max())) if len(v) else (0.0, 1.0)
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mag * mult >= raw:
@@ -124,10 +124,9 @@ def _panel_svg(panel: Panel, ox: float, oy: float, w: float, h: float) -> str:
     return "\n".join(parts)
 
 
-def figure_panels(panels: list[Panel], path, columns: int = 2,
-                  panel_size: tuple[float, float] = (430.0, 300.0)) -> None:
+def figure_panels(panels: list[Panel], path, columns: int = 2) -> None:
     """Write a grid of panels as one standalone SVG file."""
-    pw, ph = panel_size
+    pw, ph = 430.0, 300.0
     cols = max(1, columns)
     rows = (len(panels) + cols - 1) // cols
     width, height = cols * pw, rows * ph

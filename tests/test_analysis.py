@@ -160,9 +160,10 @@ class TestSteeringLinearization:
         assert eigs[-1] <= 1e-12
 
     def test_lookahead_changes_only_disturbance(self, params, gains):
-        base = linearize_steering(0.004 * math.pi, 20.0, params, gains, t_L=0.0)
-        ahead = linearize_steering(0.004 * math.pi, 20.0, params, gains,
-                                   t_L=0.3)
+        base = linearize_steering(0.004 * math.pi, 20.0, params,
+                                  replace(gains, t_L=0.0))
+        ahead = linearize_steering(0.004 * math.pi, 20.0, params,
+                                   replace(gains, t_L=0.3))
         assert np.array_equal(base.A, ahead.A)
         assert np.array_equal(base.B[:, 0], ahead.B[:, 0])
         assert base.B[3, 1] == 0.0
@@ -198,7 +199,8 @@ class TestSteeringLinearization:
                     - np.array(f(x_star, kap_off=-h))) / (2.0 * h)
             assert np.allclose(model.B[:, 0], b_fd, rtol=1e-6, atol=1e-6)
 
-            ahead = linearize_steering(kappa, V, params, gains, t_L=0.3)
+            ahead = linearize_steering(kappa, V, params,
+                                       replace(gains, t_L=0.3))
             bp_fd = (np.array(f(x_star, kap_prime=h, t_L=0.3))
                      - np.array(f(x_star, kap_prime=-h, t_L=0.3))) / (2.0 * h)
             assert np.allclose(ahead.B[:, 1], bp_fd, rtol=1e-6, atol=1e-6)

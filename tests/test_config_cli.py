@@ -272,6 +272,13 @@ class TestModeReads:
             for n in TRACE_COLUMNS)
 
 
+# heads straight off a 200 m circle until 1 - kappa*e reaches zero
+GUARD = ("path {\n    kind = circle\n    radius = 200\n}\n"
+         "controller {\n    mode = none\n}\n"
+         "sim {\n    duration = 15\n    V = 20\n    theta0 = 1.5707963\n"
+         "    dt = 0.005\n}\n")
+
+
 class TestCli:
     def test_simulate_figure_no_plot(self, tmp_path, capsys):
         rc = main(["simulate", "--figure", "fig13", "--no-plot",
@@ -377,17 +384,50 @@ class TestCli:
 
     def test_simulate_guard_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "guard.cfg"
-        cfg.write_text(
-            "path {\n    kind = circle\n    radius = 200\n}\n"
-            "controller {\n    mode = none\n}\n"
-            "sim {\n    duration = 15\n    V = 20\n    theta0 = 1.5707963\n"
-            "    dt = 0.005\n}\n")
+        cfg.write_text(GUARD)
         out = tmp_path / "out"
         rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert rc == 3
         err = capsys.readouterr().err
         assert "guard tripped" in err and "t=" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,code,prefix,named", [
+        (["simulate", "--figure", "fig13", "--dt", "0"], 2, "config error:",
+         "'dt'"),
+        (["simulate", "--config", "{tmp}/missing.cfg"], 2, "config error:",
+         "--config"),
+        (["stability", "--speed", "0"], 2, "config error:", "--speed"),
+        (["sweep", "--param", "bogus", "--values", "1"], 2, "config error:",
+         "--param"),
+        (["path", "--kind", "circle", "--N", "7"], 2, "config error:", "--N"),
+        (["simulate", "--config", "{tmp}/guard.cfg"], 3,
+         "guard tripped during simulate:", "t="),
+    ], ids=["simulate", "config_file", "stability", "sweep", "path", "guard"])
+    def test_main_is_the_one_error_boundary(self, tmp_path, capsys, argv,
+                                            code, prefix, named):
+        # every failure reaches stderr through main, as one prefixed line
+        (tmp_path / "guard.cfg").write_text(GUARD)
+        out = tmp_path / "out"
+        rc = main([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)])
+        assert rc == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        assert captured.err.startswith(prefix) and named in captured.err
+        assert not out.exists()
+
+    def test_dump_config_keeps_output(self, tmp_path, capsys):
+        cfg = tmp_path / "output.cfg"
+        cfg.write_text("output {\n    dir = results\n    plot = false\n}\n")
+        assert main(["simulate", "--config", str(cfg), "--dump-config"]) == 0
+        text = capsys.readouterr().out
+        assert "    dir = results\n" in text and "    plot = false\n" in text
+        again = tmp_path / "again.cfg"
+        again.write_text(text)
+        assert main(["simulate", "--config", str(again), "--dump-config"]) == 0
+        assert capsys.readouterr().out == text
+        assert not (tmp_path / "results").exists()
 
     def test_dump_config_round_trip(self, tmp_path, capsys):
         rc = main(["simulate", "--figure", "fig16", "--dump-config",
@@ -430,7 +470,7 @@ class TestCli:
         assert rc in (0, 2)
         if rc == 0:
             # the canonical text parses back to itself
-            assert dump_config(scenario_from_config(out)[0]) == out
+            assert dump_config(*scenario_from_config(out)) == out
 
     @pytest.mark.parametrize("argv,word", [
         (["stability", "--dt", "1"], "--dt"),
@@ -479,6 +519,18 @@ class TestCli:
         assert rc == 2
         assert "--out" in capsys.readouterr().err
         assert dest.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["link", "below_link"])
+    def test_out_dangling_symlink_exit_2_before_the_run(self, tmp_path, capsys,
+                                                        no_run, below):
+        link = tmp_path / "L"
+        link.symlink_to(tmp_path / "missing")
+        rc = main(["simulate", "--figure", "fig13", "--dt", "0.01",
+                   "--out", str(link / below)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err
+        assert link.is_symlink() and not (tmp_path / "missing").exists()
 
     def test_config_dir_is_a_file_exit_2(self, tmp_path, capsys, no_run):
         dest = tmp_path / "F"
@@ -561,6 +613,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--k1", "-2", "0.5", "100000", "--k2", "-0.05", "0.1", "100000"],
+        ["--k1", "-2", "0.5", "1e12", "--k2", "-0.05", "0.1", "1",
+         "--kappa", "0"],
+        ["--k1", "-2", "0.5", "601", "--k2", "-0.05", "0.1", "1000",
+         "--kappa", "0"],
+        ["--k1", "-2", "0.5", "200", "--k2", "-0.05", "0.1", "1001"],
+    ])
+    def test_stability_grid_too_large_exit_2(self, tmp_path, capsys,
+                                             monkeypatch, argv):
+        # rejected before any grid array is allocated
+        def stability_grid(*args):
+            raise AssertionError("stability_grid was called")
+        monkeypatch.setattr(cli, "stability_grid", stability_grid)
+        out = tmp_path / "out"
+        rc = main(["stability", *argv, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--k1" in err and "--k2" in err and "--kappa" in err
+        assert str(cli.STABILITY_POINTS_MAX) in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_stability_grid_at_the_cap(self):
+        args = cli.build_parser().parse_args(
+            ["stability", "--k1", "-2", "0.5", "200", "--k2", "-0.05", "0.1",
+             "1000"])
+        k1, k2, kappas = cli._stability_axes(args)
+        assert len(k1) * len(k2) * len(kappas) == cli.STABILITY_POINTS_MAX
 
     def test_sweep_unknown_param_exit_2(self, tmp_path, capsys):
         rc = main(["sweep", "--param", "bogus", "--values", "1",
