@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateEquilibrium, GuardTripped, SingularEncounter
+from .errors import (DegenerateEquilibrium, GuardTripped, ModelGuardError,
+                     SingularEncounter)
 from .models import DriveInput, Variant, eom_floats
 from .params import ControlGains, VehicleParams
 from .sim import integrate
@@ -237,37 +238,62 @@ class EquivalenceReport:
         return self.max_deviation < self.tol
 
 
-def _integrate_open_loop(variant: Variant, y0, sc: EquivalenceScenario,
-                         params: VehicleParams, to_torque: bool):
-    r = params.r
+def _integrate_open_loop(other: Variant, base0, other0,
+                         sc: EquivalenceScenario, params: VehicleParams,
+                         to_torque: bool):
+    """Integrate SKATE_FORCE from ``base0`` and ``other`` from ``other0`` as
+    one joined state; returns the two halves' (n + 1, len) state arrays.
+
+    The drive inputs are built once per stage time for both halves. The RK4
+    step does each component's arithmetic on its own, so each half equals
+    its separate run bit for bit. A guard or a non-finite state stops only
+    its own half, which is then reported, SKATE_FORCE's first.
+    """
+    r, n = params.r, len(base0)
+    ref = Variant.SKATE_FORCE
+    nan_ref, nan_other = [math.nan] * n, [math.nan] * len(other0)
+    guards = [None, None]   # the guard that stopped each half, if any
 
     @lru_cache(maxsize=1)   # stage 3 reuses stage 2's t, stage 1 mostly 4's
     def drive(t):
         g, gd, gdd = sc.gamma_fn(t)
         fr, ff = sc.F_R_fn(t), sc.F_F_fn(t)
+        u = DriveInput(g, gd, gdd, fr, ff)
         if to_torque:
-            return DriveInput(g, gd, gdd, T_R=r * fr, T_F=r * ff)
-        return DriveInput(g, gd, gdd, F_R=fr, F_F=ff)
+            return u, DriveInput(g, gd, gdd, 0.0, 0.0, r * fr, r * ff)
+        return u, u
+
+    def half(i, variant, y, u, nan):
+        # a half that diverged or hit a guard carries NaN on, reported below
+        if not all(map(math.isfinite, y)):
+            return nan
+        try:
+            return eom_floats(variant, y, u, params)
+        except ModelGuardError as exc:
+            guards[i] = exc
+            return nan
 
     def rhs(t, y):
-        if not all(map(math.isfinite, y)):
-            # diverged inside this step: carry NaN on, reported below
-            return [math.nan] * len(y)
-        return eom_floats(variant, y, drive(t), params)
+        u_ref, u_other = drive(t)
+        return (half(0, ref, y[:n], u_ref, nan_ref)
+                + half(1, other, y[n:], u_other, nan_other))
 
-    try:
-        _, out = integrate(rhs, y0, sc.dt, sc.duration)
-    except GuardTripped as exc:
+    _, out = integrate(rhs, list(base0) + list(other0), sc.dt, sc.duration)
+    halves = out[:, :n], out[:, n:]
+    for variant, states, guard in zip((ref, other), halves, guards):
+        # row i + 1 is the state after the step that starts at t = i*dt
+        bad = np.nonzero(~np.all(np.isfinite(states[1:]), axis=1))[0]
+        if not len(bad):
+            continue
+        t = int(bad[0]) * sc.dt
+        if guard is not None:
+            raise SingularEncounter(
+                f"{variant.value} hit a guard at t = {t:.4f} s: "
+                f"{guard}") from GuardTripped(t, guard)
         raise SingularEncounter(
-            f"{variant.value} hit a guard at t = {exc.time:.4f} s: "
-            f"{exc.cause}") from exc
-    # row i + 1 is the state after the step that starts at t = i*dt
-    bad = np.nonzero(~np.all(np.isfinite(out[1:]), axis=1))[0]
-    if len(bad):
-        raise SingularEncounter(
-            f"{variant.value} diverged at t = {bad[0] * sc.dt:.4f} s "
+            f"{variant.value} diverged at t = {t:.4f} s "
             f"(state left its validity region)")
-    return out
+    return halves
 
 
 def verify_equivalence(pair: str, params: VehicleParams,
@@ -287,22 +313,21 @@ def verify_equivalence(pair: str, params: VehicleParams,
            "alt_pseudo": 1e-9}[pair]
 
     base0 = [sc.x0, sc.y0, sc.psi0, sc.sigma1_0]
-    ref = _integrate_open_loop(Variant.SKATE_FORCE, base0, sc, params,
-                               to_torque=False)
-
     if pair == "skate_wheel":
-        other = _integrate_open_loop(
-            Variant.WHEEL_TORQUE, base0 + [0.0, 0.0], sc, params,
+        ref, other = _integrate_open_loop(
+            Variant.WHEEL_TORQUE, base0, base0 + [0.0, 0.0], sc, params,
             to_torque=True)
         return EquivalenceReport(
             pair, float(np.max(np.abs(other[:, :4] - ref))), tol)
 
     # the steering angle at each committed sample, evaluated once
-    gammas = [sc.gamma_fn(k * sc.dt)[0] for k in range(len(ref))]
+    n_steps = int(round(sc.duration / sc.dt))
+    gammas = [sc.gamma_fn(k * sc.dt)[0] for k in range(n_steps + 1)]
     if pair == "alt_pseudo":
         alt0 = base0[:3] + [sc.sigma1_0 / math.cos(gammas[0])]
-        other = _integrate_open_loop(
-            Variant.SKATE_FORCE_ALT_PSEUDO, alt0, sc, params, to_torque=False)
+        ref, other = _integrate_open_loop(
+            Variant.SKATE_FORCE_ALT_PSEUDO, base0, alt0, sc, params,
+            to_torque=False)
         mapped = other.copy()
         mapped[:, 3] = [s * math.cos(g) for s, g in zip(other[:, 3], gammas)]
     else:
@@ -314,8 +339,9 @@ def verify_equivalence(pair: str, params: VehicleParams,
                 f"steering signal reaches |gamma| = {min_gamma:.2e}: "
                 f"the yaw-rate pseudo-velocity form is singular at gamma = 0")
         lag0 = base0[:3] + [sc.sigma1_0 * math.tan(gammas[0]) / params.l]
-        other = _integrate_open_loop(
-            Variant.SKATE_FORCE_LAGRANGE, lag0, sc, params, to_torque=False)
+        ref, other = _integrate_open_loop(
+            Variant.SKATE_FORCE_LAGRANGE, base0, lag0, sc, params,
+            to_torque=False)
         mapped = other.copy()
         mapped[:, 3] = [s * params.l / math.tan(g)
                         for s, g in zip(other[:, 3], gammas)]

@@ -370,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help=f"one of {tuple(SWEEP_PARAMS)}")
     p_sw.add_argument("--values", required=True,
                       help="comma-separated values")
-    p_sw.add_argument("--figure", help="base scenario for trace sweeps")
+    p_sw.add_argument("--figure", choices=FIGURES,
+                      help="base scenario for trace sweeps")
     p_sw.add_argument("--s-T", dest="s_T", type=float,
                       help="period for N sweeps (default 250)")
     out_flag(p_sw)

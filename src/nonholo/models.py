@@ -14,8 +14,10 @@ derivatives vanish to machine precision at any state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,13 +83,13 @@ WHEEL_VARIANTS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class DriveInput:
+class DriveInput(NamedTuple):
     """Inputs for one evaluation of the equations of motion.
 
     Only the fields relevant to the chosen variant may be non-zero; the
     assigned-steering force/torque-driven closed forms additionally need the
-    first two derivatives of the steering command.
+    first two derivatives of the steering command. A NamedTuple, since one
+    is built per RK4 stage: it costs a quarter of a frozen dataclass.
     """
 
     gamma: float = 0.0
@@ -100,7 +102,9 @@ class DriveInput:
     T_s: float = 0.0
 
     def validate_for(self, variant: Variant) -> None:
-        for name in variant.forbidden:
+        if variant.forbidden_values(self) == variant.forbidden_zeros:
+            return
+        for name in variant.forbidden:   # name the first offender
             if getattr(self, name) != 0.0:
                 raise ValueError(
                     f"input {name} is not used by {variant.value} and must be zero")
@@ -110,8 +114,11 @@ class DriveInput:
 # instead of hashing the Enum (a Python-level __hash__) into the tables above.
 for _v in Variant:
     _v.n_states = len(STATE_FIELDS[_v])
-    _v.forbidden = tuple(f.name for f in fields(DriveInput)
-                         if f.name not in INPUT_FIELDS[_v])
+    _v.forbidden = tuple(name for name in DriveInput._fields
+                         if name not in INPUT_FIELDS[_v])
+    # every variant forbids at least three inputs, so this returns a tuple
+    _v.forbidden_values = attrgetter(*_v.forbidden)
+    _v.forbidden_zeros = (0.0,) * len(_v.forbidden)
     _v.constrained_speed = _v in CONSTRAINED_SPEED
     _v.wheel = _v in WHEEL_VARIANTS
     _v.torque_steer = "sigma2" in STATE_FIELDS[_v]
@@ -175,9 +182,10 @@ def eom_floats(variant: Variant, y, u: DriveInput, params: VehicleParams,
     if variant is _ALT_PSEUDO:
         g_, s1h = u.gamma, y[3]
         cg, sg = math.cos(g_), math.sin(g_)
+        cpsi, spsi = math.cos(psi), math.sin(psi)
         denom = m1 * cg * cg + m2 * sg * sg
-        return [s1h * (math.cos(psi) * cg - d / l * math.sin(psi) * sg),
-                s1h * (math.sin(psi) * cg + d / l * math.cos(psi) * sg),
+        return [s1h * (cpsi * cg - d / l * spsi * sg),
+                s1h * (spsi * cg + d / l * cpsi * sg),
                 s1h * sg / l,
                 (u.F_R * cg + u.F_F
                  + (m1 - m2) * s1h * u.gamma_dot * sg * cg
@@ -191,12 +199,14 @@ def eom_floats(variant: Variant, y, u: DriveInput, params: VehicleParams,
         _guard_gamma(g_)
         t = math.tan(g_)
         cot = 1.0 / t
-        Pi1 = u.F_R + u.F_F / math.cos(g_)
-        return [(l * math.cos(psi) * cot - d * math.sin(psi)) * s1b,
-                (l * math.sin(psi) * cot + d * math.cos(psi)) * s1b,
+        cg = math.cos(g_)
+        Pi1 = u.F_R + u.F_F / cg
+        cpsi, spsi = math.cos(psi), math.sin(psi)
+        return [(l * cpsi * cot - d * spsi) * s1b,
+                (l * spsi * cot + d * cpsi) * s1b,
                 s1b,
                 (Pi1 * t / l
-                 + m1 * u.gamma_dot * s1b / (math.sin(g_) * math.cos(g_))
+                 + m1 * u.gamma_dot * s1b / (math.sin(g_) * cg)
                  - J_F / l ** 2 * u.gamma_ddot * t * t) / (m1 + m2 * t * t)]
 
     # the eight primary variants share the planar kinematics block
@@ -211,8 +221,9 @@ def eom_floats(variant: Variant, y, u: DriveInput, params: VehicleParams,
     else:
         sp = y[4] if torque_steer else y[3]
 
-    out = [sp * (math.cos(psi) - d / l * math.sin(psi) * t),
-           sp * (math.sin(psi) + d / l * math.cos(psi) * t),
+    cpsi, spsi = math.cos(psi), math.sin(psi)
+    out = [sp * (cpsi - d / l * spsi * t),
+           sp * (spsi + d / l * cpsi * t),
            sp * t / l]
     spin = [sp / params.r, sp / (params.r * cg)] if wheel else []
 

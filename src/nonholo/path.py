@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,8 +137,7 @@ class CurvatureProfile:
         return None
 
 
-@dataclass(frozen=True)
-class PathQuery:
+class PathQuery(NamedTuple):
     """Result of projecting a pose onto a path."""
 
     s_C: float       # arc length of the closest path point

@@ -13,7 +13,9 @@ from nonholo.analysis import (DEFAULT_SCENARIOS, EquivalenceScenario,
                               verify_equivalence)
 from nonholo.control import (longitudinal_accel, target_speed,
                              wrapper, WrapperSpec)
-from nonholo.errors import DegenerateEquilibrium, SingularEncounter
+from nonholo import analysis
+from nonholo.errors import (DegenerateEquilibrium, GuardTripped,
+                            SingularEncounter)
 from nonholo.models import DriveInput, Variant, eom_floats
 from nonholo.sim import integrate
 
@@ -283,19 +285,51 @@ class TestEquivalenceSuite:
             verify_equivalence("appell_lagrange", params, scenario=scenario)
 
 
-@pytest.mark.parametrize("pair,variant,y0,to_torque", [
-    ("skate_wheel", Variant.SKATE_FORCE, [0.0, 0.0, 0.0, 15.0], False),
-    ("skate_wheel", Variant.WHEEL_TORQUE, [0.0, 0.0, 0.0, 15.0, 0.0, 0.0],
-     True),
-    ("appell_lagrange", Variant.SKATE_FORCE_LAGRANGE,
-     [0.0, 0.0, 0.0, 15.0 * math.tan(0.3) / 2.57], False),
-    ("alt_pseudo", Variant.SKATE_FORCE_ALT_PSEUDO, [0.0, 0.0, 0.0, 15.0],
-     False),
-])
-def test_open_loop_inputs_once_per_stage_time(params, pair, variant, y0,
-                                              to_torque):
-    """The drive inputs are built once per distinct RK4 stage time, and the
-    states equal those of a loop that builds them at every stage."""
+# each pair's other variant, its initial state and whether it is driven by
+# torques; SKATE_FORCE starts from BASE0 in every pair
+BASE0 = [0.0, 0.0, 0.0, 15.0]
+PAIR_RUNS = {
+    "skate_wheel": (Variant.WHEEL_TORQUE, BASE0 + [0.0, 0.0], True),
+    "appell_lagrange": (Variant.SKATE_FORCE_LAGRANGE,
+                        [0.0, 0.0, 0.0, 15.0 * math.tan(0.3) / 2.57], False),
+    "alt_pseudo": (Variant.SKATE_FORCE_ALT_PSEUDO, BASE0, False),
+}
+
+
+def separate_run(variant, y0, sc, params, to_torque, eom=eom_floats,
+                 times=None):
+    """One variant integrated alone, its drive input built at every stage."""
+    def every_stage(t, y):
+        if times is not None:
+            times.append(t)
+        g, gd, gdd = sc.gamma_fn(t)
+        fr, ff = sc.F_R_fn(t), sc.F_F_fn(t)
+        u = DriveInput(g, gd, gdd, T_R=params.r * fr, T_F=params.r * ff) \
+            if to_torque else DriveInput(g, gd, gdd, F_R=fr, F_F=ff)
+        if not all(map(math.isfinite, y)):
+            return [math.nan] * len(y)
+        return eom(variant, y, u, params)
+    return integrate(every_stage, y0, sc.dt, sc.duration)[1]
+
+
+@pytest.fixture
+def joined_states(monkeypatch):
+    """The joined (n + 1, len) states of each run, even one that raises."""
+    runs = []
+
+    def recording(*args):
+        out = integrate(*args)
+        runs.append(out[1])
+        return out
+    monkeypatch.setattr(analysis, "integrate", recording)
+    return runs
+
+
+@pytest.mark.parametrize("pair", PAIR_RUNS)
+def test_joined_run_equals_separate_runs(params, pair):
+    """Each half of a pair's joined run equals that variant's run alone, and
+    the drive inputs are built once per distinct stage time for both."""
+    other, other0, to_torque = PAIR_RUNS[pair]
     base = replace(DEFAULT_SCENARIOS[pair], duration=1.0)
     times = []
 
@@ -303,20 +337,84 @@ def test_open_loop_inputs_once_per_stage_time(params, pair, variant, y0,
         times.append(t)
         return base.gamma_fn(t)
 
-    got = _integrate_open_loop(variant, y0, replace(base, gamma_fn=counting),
-                               params, to_torque)
-
-    def every_stage(t, y):
-        g, gd, gdd = base.gamma_fn(t)
-        fr, ff = base.F_R_fn(t), base.F_F_fn(t)
-        u = DriveInput(g, gd, gdd, T_R=params.r * fr, T_F=params.r * ff) \
-            if to_torque else DriveInput(g, gd, gdd, F_R=fr, F_F=ff)
-        return eom_floats(variant, y, u, params)
-
-    _, expected = integrate(every_stage, y0, base.dt, base.duration)
-    assert np.array_equal(got, expected)
+    ref, got = _integrate_open_loop(other, BASE0, other0,
+                                    replace(base, gamma_fn=counting), params,
+                                    to_torque)
+    stage_times = []
+    assert np.array_equal(ref, separate_run(Variant.SKATE_FORCE, BASE0, base,
+                                            params, False, times=stage_times))
+    assert np.array_equal(got, separate_run(other, other0, base, params,
+                                            to_torque))
     # stages 2 and 3 share t + dt/2; stage 1 reuses the last stage 4 when
     # t0 + k*dt rounds to the same float as (t0 + (k-1)*dt) + dt
-    n, dt = len(got) - 1, base.dt
-    stage1_misses = 1 + sum((k - 1) * dt + dt != k * dt for k in range(1, n))
-    assert len(times) == 2 * n + stage1_misses < 3 * n
+    assert len(times) == len(set(times))
+    assert set(times) == set(stage_times)
+    n = len(got) - 1
+    assert 2 * n < len(times) < 3 * n
+
+
+GUARD_RUNS = {
+    # a ramp that reaches pi/2 trips SKATE_FORCE's tan guard; the
+    # alternative pseudo-velocity form is regular there and runs on
+    "skate_force": (
+        0, Variant.SKATE_FORCE_ALT_PSEUDO, BASE0,
+        EquivalenceScenario(duration=4.0, dt=1e-3, sigma1_0=15.0,
+                            gamma_fn=lambda t: (0.5 * t, 0.5, 0.0))),
+    # a ramp through gamma = 0 at a stage time trips the yaw-rate form
+    "skate_force_lagrange": (
+        1, Variant.SKATE_FORCE_LAGRANGE,
+        [0.0, 0.0, 0.0, 15.0 * math.tan(0.2) / 2.57],
+        EquivalenceScenario(duration=3.0, dt=1e-3, sigma1_0=15.0,
+                            gamma_fn=lambda t: (0.2 - 0.1 * t, -0.1, 0.0),
+                            F_R_fn=lambda t: 200.0)),
+}
+
+
+@pytest.mark.parametrize("name", GUARD_RUNS)
+def test_joined_run_guard_names_its_half(params, joined_states, name):
+    """A guard in one half raises naming that half, at the step where its
+    run alone trips; the other half runs on as it would alone."""
+    i, other, other0, sc = GUARD_RUNS[name]
+    halves = [(Variant.SKATE_FORCE, BASE0), (other, other0)]
+    with pytest.raises(GuardTripped) as alone:
+        separate_run(*halves[i], sc, params, False)
+    with pytest.raises(SingularEncounter) as joined:
+        _integrate_open_loop(other, BASE0, other0, sc, params, False)
+    cause = alone.value.cause
+    assert str(joined.value) == (f"{name} hit a guard at t = "
+                                 f"{alone.value.time:.4f} s: {cause}")
+    assert type(joined.value.__cause__.cause) is type(cause)
+    states = np.split(joined_states[0], [4], axis=1)
+    assert np.array_equal(states[1 - i], separate_run(*halves[1 - i], sc,
+                                                      params, False))
+
+
+@pytest.mark.parametrize("poisoned", [Variant.SKATE_FORCE,
+                                      Variant.WHEEL_TORQUE],
+                         ids=lambda v: v.value)
+def test_joined_run_nan_stays_in_its_half(params, joined_states, monkeypatch,
+                                          poisoned):
+    """A NaN that starts in one half names that half and the step it starts
+    in; the other half stays finite and equal to its run alone."""
+    def eom(variant, y, u, params, V=None):
+        out = eom_floats(variant, y, u, params, V)
+        if variant is poisoned and y[0] > 10.0:
+            out[3] = math.nan
+        return out
+    monkeypatch.setattr(analysis, "eom_floats", eom)
+    other, other0, _ = PAIR_RUNS["skate_wheel"]
+    sc = replace(DEFAULT_SCENARIOS["skate_wheel"], duration=1.0)
+    runs = {Variant.SKATE_FORCE: (BASE0, False), other: (other0, True)}
+    alone = {v: separate_run(v, y0, sc, params, torque, eom)
+             for v, (y0, torque) in runs.items()}
+    row = int(np.nonzero(np.isnan(alone[poisoned][:, 3]))[0][0])
+    assert 0.5 < row * sc.dt < 1.0
+    with pytest.raises(SingularEncounter,
+                       match=f"^{poisoned.value} diverged at t = "
+                             f"{(row - 1) * sc.dt:.4f} s"):
+        _integrate_open_loop(other, BASE0, other0, sc, params, True)
+    ref, got = joined_states[0][:, :4], joined_states[0][:, 4:]
+    assert np.array_equal(ref, alone[Variant.SKATE_FORCE], equal_nan=True)
+    assert np.array_equal(got, alone[other], equal_nan=True)
+    clean = got if poisoned is Variant.SKATE_FORCE else ref
+    assert np.all(np.isfinite(clean))

@@ -692,6 +692,19 @@ class TestCli:
         assert flag in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("param", ["t_L", "a_lat_max", "N"])
+    def test_sweep_unknown_figure_exit_2(self, tmp_path, capsys, param):
+        # --figure takes the named scenarios only, as simulate's does
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--param", param, "--figure", "bogus",
+                  "--values", "0", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--figure" in err and "'bogus'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_sweep_lookahead(self, tmp_path, capsys):
         rc = main(["sweep", "--param", "t_L", "--values", "0,0.3",
                    "--dt", "0.01", "--out", str(tmp_path)])

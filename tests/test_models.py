@@ -46,6 +46,46 @@ def random_state_and_input(rng, variant, gamma_limit=1.3):
     return y, DriveInput(**kwargs), V
 
 
+class TestDriveInput:
+    FIELDS = ("gamma", "gamma_dot", "gamma_ddot", "F_R", "F_F", "T_R", "T_F",
+              "T_s")
+
+    def test_fields_are_read_only(self):
+        u = DriveInput(gamma=0.1)
+        for name in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(u, name, 1.0)
+        assert u == DriveInput(gamma=0.1)
+
+    def test_keyword_construction_and_defaults(self):
+        assert DriveInput._fields == self.FIELDS
+        assert tuple(DriveInput()) == (0.0,) * 8
+        for i, name in enumerate(self.FIELDS):
+            u = DriveInput(**{name: 2.5})
+            assert getattr(u, name) == 2.5
+            assert tuple(u) == (0.0,) * i + (2.5,) + (0.0,) * (7 - i)
+        assert DriveInput(0.1, 0.2, 0.3, F_R=4.0) == \
+            DriveInput(gamma=0.1, gamma_dot=0.2, gamma_ddot=0.3, F_R=4.0)
+        with pytest.raises(TypeError):
+            DriveInput(torque=1.0)
+
+    def test_validate_for_names_first_nonzero_forbidden_input(self):
+        for variant in Variant:
+            DriveInput().validate_for(variant)
+            # -0.0 == 0.0, so a negative zero is not an input
+            DriveInput(**dict.fromkeys(variant.forbidden, -0.0)) \
+                .validate_for(variant)
+            for i, name in enumerate(variant.forbidden):
+                later = dict.fromkeys(variant.forbidden[i:], 1.0)
+                for value in (1.0, -1e-300, math.nan, math.inf):
+                    u = DriveInput(**{**later, name: value})
+                    with pytest.raises(
+                            ValueError,
+                            match=f"^input {name} is not used by "
+                                  f"{variant.value} and must be zero$"):
+                        u.validate_for(variant)
+
+
 class TestKinematicExamples:
     def test_straight_motion(self, params):
         dy = eom_rhs(Variant.SKATE_KINEMATIC, [0.0, 0.0, 0.0],

@@ -271,7 +271,7 @@ class TestProjection:
     def test_query_fields_are_floats(self, n4_table):
         for hint in (None, 999.8):
             q = n4_table.project(np.float64(1.0), 2.0, 0.1, hint=hint)
-            assert all(type(v) is float for v in vars(q).values())
+            assert all(type(v) is float for v in q._asdict().values())
 
 
 class TestTableArrays:
@@ -372,6 +372,24 @@ def test_pose_at_many_matches_pose_at(kind, tmp_path, rng):
     many = np.column_stack(table.pose_at_many(s))
     one = np.array([table.pose_at(float(v)) for v in s])
     assert np.all(np.abs(many - one) <= 1e-12 * np.maximum(1.0, np.abs(one)))
+
+
+class TestPathQuery:
+    FIELDS = ("s_C", "e_C", "psi_C", "kappa_C", "theta_C")
+
+    def test_fields_are_read_only(self, n4_table):
+        q = n4_table.project(1.0, 2.0, 0.1)
+        for name in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(q, name, 0.0)
+
+    def test_keyword_construction(self):
+        assert PathQuery._fields == self.FIELDS
+        q = PathQuery(s_C=1.0, e_C=2.0, psi_C=3.0, kappa_C=4.0, theta_C=5.0)
+        assert [getattr(q, n) for n in self.FIELDS] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        # every field is required: no defaults
+        with pytest.raises(TypeError):
+            PathQuery(s_C=1.0, e_C=2.0, psi_C=3.0, kappa_C=4.0)
 
 
 class TestFrameRates:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,7 +108,7 @@ class TestRejections:
         for name in variant.forbidden:
             with pytest.raises(ValueError, match=f"input {name} "):
                 pathframe_rhs(variant, TrackPoint.REAR_AXLE, y,
-                              replace(u, **{name: 1.0}), n4_table, params,
+                              u._replace(**{name: 1.0}), n4_table, params,
                               V=20.0)
 
     @pytest.mark.parametrize("V", [None, 0.0, -1.0])
@@ -129,7 +128,7 @@ class TestRejections:
         if variant.torque_steer:
             y = y[:3] + [gamma] + y[4:]
         else:
-            u = replace(u, gamma=gamma)
+            u = u._replace(gamma=gamma)
         for point in TrackPoint:
             with pytest.raises(SteeringSingularity):
                 pathframe_rhs(variant, point, y, u, n4_table, params, V=20.0)
