@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DegenerateEquilibrium, GuardTripped, ModelGuardError,
-                     SingularEncounter)
+from .errors import (DegenerateEquilibrium, GuardTripped, LagrangeSingularity,
+                     ModelGuardError, SingularEncounter)
 from .models import DriveInput, Variant, eom_floats
 from .params import ControlGains, VehicleParams
 from .sim import integrate
@@ -247,12 +247,15 @@ def _integrate_open_loop(other: Variant, base0, other0,
     The drive inputs are built once per stage time for both halves. The RK4
     step does each component's arithmetic on its own, so each half equals
     its separate run bit for bit. A guard or a non-finite state stops only
-    its own half, which is then reported, SKATE_FORCE's first.
+    its own half, which is then reported, SKATE_FORCE's first. The
+    yaw-rate form's guard also trips where gamma changes sign between
+    consecutive stage times, so that no step goes through gamma = 0.
     """
     r, n = params.r, len(base0)
-    ref = Variant.SKATE_FORCE
+    ref, lagrange = Variant.SKATE_FORCE, Variant.SKATE_FORCE_LAGRANGE
     nan_ref, nan_other = [math.nan] * n, [math.nan] * len(other0)
     guards = [None, None]   # the guard that stopped each half, if any
+    last = [math.nan]   # the Lagrange half's gamma at the previous stage
 
     @lru_cache(maxsize=1)   # stage 3 reuses stage 2's t, stage 1 mostly 4's
     def drive(t):
@@ -268,7 +271,15 @@ def _integrate_open_loop(other: Variant, base0, other0,
         if not all(map(math.isfinite, y)):
             return nan
         try:
-            return eom_floats(variant, y, u, params)
+            dy = eom_floats(variant, y, u, params)
+            if variant is lagrange:
+                g0, last[0] = last[0], u.gamma
+                if g0 * u.gamma < 0.0:
+                    raise LagrangeSingularity(
+                        f"gamma changes sign from {g0:.3e} to {u.gamma:.3e} "
+                        "between stage times: yaw-rate pseudo-velocity is "
+                        "singular at 0")
+            return dy
         except ModelGuardError as exc:
             guards[i] = exc
             return nan
@@ -332,12 +343,20 @@ def verify_equivalence(pair: str, params: VehicleParams,
         mapped[:, 3] = [s * math.cos(g) for s, g in zip(other[:, 3], gammas)]
     else:
         # the yaw-rate form breaks down near gamma = 0 (cot gamma unbounded);
-        # reject scenarios whose steering signal enters that band
+        # reject scenarios whose steering signal enters that band or steps
+        # across it between two samples
         min_gamma = min(map(abs, gammas))
         if min_gamma < 1e-3:
             raise SingularEncounter(
                 f"steering signal reaches |gamma| = {min_gamma:.2e}: "
                 f"the yaw-rate pseudo-velocity form is singular at gamma = 0")
+        k = next((k for k, (a, b) in enumerate(zip(gammas, gammas[1:]))
+                  if a * b < 0.0), None)
+        if k is not None:
+            raise SingularEncounter(
+                f"steering signal crosses gamma = 0 between t = "
+                f"{k * sc.dt:.4f} s and {(k + 1) * sc.dt:.4f} s: the yaw-rate "
+                f"pseudo-velocity form is singular at gamma = 0")
         lag0 = base0[:3] + [sc.sigma1_0 * math.tan(gammas[0]) / params.l]
         ref, other = _integrate_open_loop(
             Variant.SKATE_FORCE_LAGRANGE, base0, lag0, sc, params,

@@ -15,7 +15,7 @@ from nonholo.control import (longitudinal_accel, target_speed,
                              wrapper, WrapperSpec)
 from nonholo import analysis
 from nonholo.errors import (DegenerateEquilibrium, GuardTripped,
-                            SingularEncounter)
+                            LagrangeSingularity, SingularEncounter)
 from nonholo.models import DriveInput, Variant, eom_floats
 from nonholo.sim import integrate
 
@@ -284,6 +284,17 @@ class TestEquivalenceSuite:
         with pytest.raises(SingularEncounter):
             verify_equivalence("appell_lagrange", params, scenario=scenario)
 
+    def test_lagrange_rejects_a_step_across_the_band(self, params):
+        # no sample comes within 1.2e-3 of gamma = 0, crossed at t = 0.0504 s
+        def gamma(t):
+            a = 10.0 * (t - 0.0504)
+            return 0.3 * math.sin(a), 3.0 * math.cos(a), -30.0 * math.sin(a)
+        scenario = EquivalenceScenario(duration=0.2, dt=1e-3, sigma1_0=15.0,
+                                       gamma_fn=gamma, F_R_fn=lambda t: 200.0)
+        with pytest.raises(SingularEncounter, match="crosses gamma = 0 "
+                           "between t = 0.0500 s and 0.0510 s"):
+            verify_equivalence("appell_lagrange", params, scenario=scenario)
+
 
 # each pair's other variant, its initial state and whether it is driven by
 # torques; SKATE_FORCE starts from BASE0 in every pair
@@ -387,6 +398,22 @@ def test_joined_run_guard_names_its_half(params, joined_states, name):
     states = np.split(joined_states[0], [4], axis=1)
     assert np.array_equal(states[1 - i], separate_run(*halves[1 - i], sc,
                                                       params, False))
+
+
+def test_joined_run_lagrange_guard_between_stage_times(params):
+    """gamma = 0.2 + 0.3 sin t crosses zero inside the step that starts at
+    3.871 s, with no stage time within GAMMA_GUARD of it: the sign change
+    trips the yaw-rate form's guard at that step."""
+    assert 3.871 < math.pi + math.asin(2.0 / 3.0) < 3.872
+    sc = EquivalenceScenario(duration=10.0, dt=1e-3, sigma1_0=15.0,
+                             gamma_fn=_sine_steer(0.3, 1.0, 0.2),
+                             F_R_fn=lambda t: 200.0)
+    lag0 = [0.0, 0.0, 0.0, 15.0 * math.tan(0.2) / params.l]
+    with pytest.raises(SingularEncounter, match="^skate_force_lagrange hit a "
+                       "guard at t = 3.8710 s: gamma changes sign") as joined:
+        _integrate_open_loop(Variant.SKATE_FORCE_LAGRANGE, BASE0, lag0, sc,
+                             params, False)
+    assert type(joined.value.__cause__.cause) is LagrangeSingularity
 
 
 @pytest.mark.parametrize("poisoned", [Variant.SKATE_FORCE,

@@ -1,11 +1,9 @@
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nonholo import cli
 from nonholo.cli import main
 from nonholo.config import (_BLOCKS, _MODE_BLOCKS, dump_config, parse_blocks,
                             scenario_from_config)
@@ -272,23 +270,7 @@ class TestModeReads:
             for n in TRACE_COLUMNS)
 
 
-# heads straight off a 200 m circle until 1 - kappa*e reaches zero
-GUARD = ("path {\n    kind = circle\n    radius = 200\n}\n"
-         "controller {\n    mode = none\n}\n"
-         "sim {\n    duration = 15\n    V = 20\n    theta0 = 1.5707963\n"
-         "    dt = 0.005\n}\n")
-
-
 class TestCli:
-    def test_simulate_figure_no_plot(self, tmp_path, capsys):
-        rc = main(["simulate", "--figure", "fig13", "--no-plot",
-                   "--dt", "0.005", "--out", str(tmp_path)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "no overshoot" in out
-        assert (tmp_path / "trace.csv").exists()
-        assert not (tmp_path / "fig13.svg").exists()
-
     def test_simulate_figure_with_plot(self, tmp_path):
         rc = main(["simulate", "--figure", "fig14", "--dt", "0.005",
                    "--out", str(tmp_path)])
@@ -296,78 +278,6 @@ class TestCli:
         svg = (tmp_path / "fig14.svg").read_text()
         assert svg.startswith("<svg")
         assert "polyline" in svg
-
-    def test_simulate_config(self, tmp_path, capsys):
-        cfg = tmp_path / "case.cfg"
-        cfg.write_text(MINIMAL)
-        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
-                   "--no-plot"])
-        assert rc == 0
-        assert (tmp_path / "trace.csv").exists()
-
-    def test_simulate_malformed_config_exit_2(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("sim {\n    warpdrive = 1\n}\n")
-        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
-        assert rc == 2
-        assert "warpdrive" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("text,key", [
-        ("sim {\n    duration = nan\n}\n", "duration"),
-        ("controller {\n    wrapper_n = nan\n}\n", "wrapper_n"),
-        # no key with a single legal value, a derived value or no effect
-        ("sim {\n    model = wheel_torque_torque_steer\n}\n", "model"),
-        ("sim {\n    model = skate_kinematic\n}\n", "model"),
-        ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
-         "    kappa_max = 0.012566370614359173\n}\n", "kappa_max"),
-        ("path {\n    kind = circle\n    kappa_max = 0.005\n}\n", "kappa_max"),
-        ("sim {\n    sigma1_0 = 20\n}\n", "sigma1_0"),
-        ("sim {\n    gamma0 = 0.1\n}\n", "gamma0"),
-        ("sim {\n    sigma2_0 = 0.1\n}\n", "sigma2_0"),
-        ("controller {\n    mode = steer_longitudinal\n}\n"
-         "sim {\n    gamma0 = 0.1\n}\n", "gamma0"),
-        ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
-         "    step = 60\n}\n", "step"),
-        ("controller {\n    law = bogus\n}\n", "law"),
-        ("controller {\n    wrapper_n = 1\n}\n", "wrapper_n"),
-        ("controller {\n    wrapper_n = 1001\n}\n", "wrapper_n"),
-        ("path {\n    kind = periodic\n    N = 2.5\n    s_T = 250\n}\n", "N"),
-        ("controller {\n    mode = steer_longitudinal\n    law = linear\n}\n",
-         "law"),
-        ("controller {\n    mode = steer_longitudinal\n    t_L = 0.3\n}\n",
-         "t_L"),
-        ("sim {\n    duration = 1\n    dt = 0.3\n}\n", "duration"),
-        # 30 s at 20 m/s runs 600 m along a 300 m open piece of the path
-        ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
-         "    length = 300\n}\nsim {\n    dt = 0.005\n}\n", "length"),
-        ("controller {\n    mode = steer_only\n    t_L = 0.1\n}\n", "t_L"),
-        # a straight table starts at s = 0, so no length covers s0 < 0
-        ("sim {\n    s0 = -5\n    duration = 1\n    dt = 0.01\n}\n", "s0"),
-        ("path {\n    length = -5\n}\n", "length"),
-        ("path {\n    length = 0\n}\n", "length"),
-        ("path {\n    length = 1e17\n}\n", "length"),
-        ("path {\n    step = 0\n}\n", "step"),
-        ("path {\n    kind = circle\n    radius = 100\n    step = -1\n}\n",
-         "step"),
-        # a profile key of another kind of path
-        ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
-         "    radius = 5\n}\n", "radius"),
-        ("path {\n    kind = circle\n    radius = 200\n    N = 7\n}\n", "N"),
-        ("path {\n    kind = circle\n    s_T = 3\n    radius = 200\n}\n",
-         "s_T"),
-        ("path {\n    radius = 200\n    length = 900\n}\n", "radius"),
-        ("path {\n    kind = straight\n    N = 4\n    length = 900\n}\n",
-         "N"),
-    ])
-    def test_simulate_bad_config_exit_2(self, tmp_path, capsys, text, key):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text)
-        out = tmp_path / "out"
-        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"'{key}'" in err and "Traceback" not in err
-        assert not out.exists()
 
     def test_simulate_straight_from_s0(self, tmp_path, capsys):
         cfg = tmp_path / "far.cfg"
@@ -382,41 +292,6 @@ class TestCli:
         assert float(rows[-1][col("s_C")]) == pytest.approx(520.0)
         assert float(rows[-1][col("x_G")]) == pytest.approx(521.54)
 
-    def test_simulate_guard_exit_3(self, tmp_path, capsys):
-        cfg = tmp_path / "guard.cfg"
-        cfg.write_text(GUARD)
-        out = tmp_path / "out"
-        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "guard tripped" in err and "t=" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("argv,code,prefix,named", [
-        (["simulate", "--figure", "fig13", "--dt", "0"], 2, "config error:",
-         "'dt'"),
-        (["simulate", "--config", "{tmp}/missing.cfg"], 2, "config error:",
-         "--config"),
-        (["stability", "--speed", "0"], 2, "config error:", "--speed"),
-        (["sweep", "--param", "bogus", "--values", "1"], 2, "config error:",
-         "--param"),
-        (["path", "--kind", "circle", "--N", "7"], 2, "config error:", "--N"),
-        (["simulate", "--config", "{tmp}/guard.cfg"], 3,
-         "guard tripped during simulate:", "t="),
-    ], ids=["simulate", "config_file", "stability", "sweep", "path", "guard"])
-    def test_main_is_the_one_error_boundary(self, tmp_path, capsys, argv,
-                                            code, prefix, named):
-        # every failure reaches stderr through main, as one prefixed line
-        (tmp_path / "guard.cfg").write_text(GUARD)
-        out = tmp_path / "out"
-        rc = main([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)])
-        assert rc == code
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
-        assert captured.err.startswith(prefix) and named in captured.err
-        assert not out.exists()
-
     def test_dump_config_keeps_output(self, tmp_path, capsys):
         cfg = tmp_path / "output.cfg"
         cfg.write_text("output {\n    dir = results\n    plot = false\n}\n")
@@ -428,35 +303,6 @@ class TestCli:
         assert main(["simulate", "--config", str(again), "--dump-config"]) == 0
         assert capsys.readouterr().out == text
         assert not (tmp_path / "results").exists()
-
-    def test_dump_config_round_trip(self, tmp_path, capsys):
-        rc = main(["simulate", "--figure", "fig16", "--dump-config",
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        text = capsys.readouterr().out
-        sc, _ = scenario_from_config(text)
-        assert sc.profile.N == 4
-        assert sc.duration == 50.0
-
-    @pytest.mark.parametrize("text,key", [
-        ("path {\n    length = -5\n}\n", "length"),
-        ("path {\n    step = 0\n}\n", "step"),
-        # 1000 m at 1e-5 m is more than PATH_STEPS_MAX steps
-        ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
-         "    step = 1e-5\n}\n", "step"),
-        ("path {\n    kind = periodic\n    N = 4\n    s_T = 250\n"
-         "    radius = 5\n}\n", "radius"),
-    ])
-    def test_dump_config_bad_path_exit_2(self, tmp_path, capsys, text, key):
-        # --dump-config checks the path as a run does
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text)
-        rc = main(["simulate", "--config", str(cfg), "--dump-config",
-                   "--out", str(tmp_path)])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert f"'{key}'" in captured.err and "Traceback" not in captured.err
-        assert captured.out == ""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -472,103 +318,6 @@ class TestCli:
             # the canonical text parses back to itself
             assert dump_config(*scenario_from_config(out)) == out
 
-    @pytest.mark.parametrize("argv,word", [
-        (["stability", "--dt", "1"], "--dt"),
-        (["stability", "--no-plot"], "--no-plot"),
-        (["path", "--dt", "1"], "--dt"),
-        (["sweep", "--param", "t_L", "--values", "0", "--no-plot"],
-         "--no-plot"),
-        (["simulate", "--figure", "fig13", "--seed", "7"], "--seed"),
-        (["simulate", "--figure", "randomcheck"], "randomcheck"),
-    ])
-    def test_unread_flags_exit_2(self, tmp_path, capsys, argv, word):
-        # a subcommand registers only the flags it reads
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert word in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--figure", "fig13", "--dt", "0.1", "--no-plot"],
-        ["stability", "--k1", "-1", "0", "2", "--k2", "0", "0.1", "2"],
-        ["sweep", "--param", "wrapper_n", "--values", "2"],
-        ["path", "--kind", "periodic"],
-    ], ids=lambda argv: argv[0])
-    def test_out_is_a_file_exit_2(self, tmp_path, capsys, no_run, argv):
-        # simulate finds out before the run: run_scenario must not be called
-        dest = tmp_path / "F"
-        dest.write_text("keep\n")
-        rc = main([*argv, "--out", str(dest)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "--out" in err and "Traceback" not in err
-        assert dest.read_text() == "keep\n"
-
-    @pytest.fixture
-    def no_run(self, monkeypatch):
-        # a run that reached the integrator would fail here, not exit 2
-        def run_scenario(*args):
-            raise AssertionError("run_scenario was called")
-        monkeypatch.setattr(cli, "run_scenario", run_scenario)
-
-    def test_out_below_a_file_exit_2_before_the_run(self, tmp_path, capsys,
-                                                    no_run):
-        dest = tmp_path / "F"
-        dest.write_text("keep\n")
-        rc = main(["simulate", "--figure", "fig20", "--out", str(dest / "sub")])
-        assert rc == 2
-        assert "--out" in capsys.readouterr().err
-        assert dest.read_text() == "keep\n"
-
-    @pytest.mark.parametrize("below", ["", "sub"], ids=["link", "below_link"])
-    def test_out_dangling_symlink_exit_2_before_the_run(self, tmp_path, capsys,
-                                                        no_run, below):
-        link = tmp_path / "L"
-        link.symlink_to(tmp_path / "missing")
-        rc = main(["simulate", "--figure", "fig13", "--dt", "0.01",
-                   "--out", str(link / below)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "--out" in err and "Traceback" not in err
-        assert link.is_symlink() and not (tmp_path / "missing").exists()
-
-    def test_config_dir_is_a_file_exit_2(self, tmp_path, capsys, no_run):
-        dest = tmp_path / "F"
-        dest.write_text("keep\n")
-        cfg = tmp_path / "dir.cfg"
-        cfg.write_text(f"sim {{\n    duration = 0.1\n}}\n"
-                       f"output {{\n    dir = {dest}\n    plot = false\n}}\n")
-        assert main(["simulate", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert "'dir'" in err and "--out" not in err
-        assert dest.read_text() == "keep\n"
-
-    @pytest.mark.parametrize("extra", [[], ["--out", "X"], ["--dump-config"]],
-                             ids=["run", "run_out", "dump"])
-    def test_empty_config_dir_exit_2(self, tmp_path, monkeypatch, capsys,
-                                     no_run, extra):
-        monkeypatch.chdir(tmp_path)
-        cfg = tmp_path / "empty_dir.cfg"
-        cfg.write_text("sim {\n    duration = 0.1\n}\noutput {\n    dir =\n}\n")
-        assert main(["simulate", "--config", str(cfg), *extra]) == 2
-        captured = capsys.readouterr()
-        assert "'dir'" in captured.err and captured.out == ""
-        assert [p.name for p in tmp_path.iterdir()] == ["empty_dir.cfg"]
-
-    def test_empty_out_exit_2(self, tmp_path, monkeypatch, capsys, no_run):
-        monkeypatch.chdir(tmp_path)
-        assert main(["simulate", "--figure", "fig13", "--out", ""]) == 2
-        assert "--out" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    def test_simulate_dt_zero_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        rc = main(["simulate", "--figure", "fig13", "--dt", "0",
-                   "--out", str(out)])
-        assert rc == 2
-        assert "'dt'" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_stability_map(self, tmp_path, capsys):
         rc = main(["stability", "--k1", "-2", "0.5", "12", "--k2", "-0.05",
                    "0.1", "12", "--out", str(tmp_path)])
@@ -578,132 +327,6 @@ class TestCli:
         lines = (tmp_path / "stability.csv").read_text().splitlines()
         assert lines[0] == "k1,k2,kappa_star,criterion,eig_max_real,agree"
         assert len(lines) == 1 + 12 * 12 * 3
-
-    def test_stability_single_point(self, tmp_path, capsys):
-        rc = main(["stability", "--k1", "-0.5", "-0.5", "1",
-                   "--k2", "0.02", "0.02", "1", "--kappa", "0",
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "stable" in out
-        assert "-0.4526" in out or "-0.45265" in out
-
-    def test_stability_bad_ranges_exit_2(self, tmp_path, capsys):
-        rc = main(["stability", "--kappa", "zero", "--out", str(tmp_path)])
-        assert rc == 2
-
-    @pytest.mark.parametrize("argv,flag", [
-        (["--k1", "-2", "0.5", "inf"], "--k1"),
-        (["--k1", "-2", "0.5", "nan"], "--k1"),
-        (["--k1", "-2", "nan", "5"], "--k1"),
-        (["--k2", "-0.05", "inf", "5"], "--k2"),
-        (["--k2", "-0.05", "0.1", "0"], "--k2"),
-        (["--k2", "-0.05", "0.1", "2.5"], "--k2"),
-        (["--kappa", "nan"], "--kappa"),
-        (["--kappa", "0,inf"], "--kappa"),
-        (["--speed", "nan"], "--speed"),
-        (["--speed", "inf"], "--speed"),
-        (["--speed", "0"], "--speed"),
-        (["--speed", "-20"], "--speed"),
-    ])
-    def test_stability_bad_input_exit_2(self, tmp_path, capsys, argv, flag):
-        out = tmp_path / "out"
-        rc = main(["stability", *argv, "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert flag in err and "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("argv", [
-        ["--k1", "-2", "0.5", "100000", "--k2", "-0.05", "0.1", "100000"],
-        ["--k1", "-2", "0.5", "1e12", "--k2", "-0.05", "0.1", "1",
-         "--kappa", "0"],
-        ["--k1", "-2", "0.5", "601", "--k2", "-0.05", "0.1", "1000",
-         "--kappa", "0"],
-        ["--k1", "-2", "0.5", "200", "--k2", "-0.05", "0.1", "1001"],
-    ])
-    def test_stability_grid_too_large_exit_2(self, tmp_path, capsys,
-                                             monkeypatch, argv):
-        # rejected before any grid array is allocated
-        def stability_grid(*args):
-            raise AssertionError("stability_grid was called")
-        monkeypatch.setattr(cli, "stability_grid", stability_grid)
-        out = tmp_path / "out"
-        rc = main(["stability", *argv, "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "--k1" in err and "--k2" in err and "--kappa" in err
-        assert str(cli.STABILITY_POINTS_MAX) in err and "Traceback" not in err
-        assert not out.exists()
-
-    def test_stability_grid_at_the_cap(self):
-        args = cli.build_parser().parse_args(
-            ["stability", "--k1", "-2", "0.5", "200", "--k2", "-0.05", "0.1",
-             "1000"])
-        k1, k2, kappas = cli._stability_axes(args)
-        assert len(k1) * len(k2) * len(kappas) == cli.STABILITY_POINTS_MAX
-
-    def test_sweep_unknown_param_exit_2(self, tmp_path, capsys):
-        rc = main(["sweep", "--param", "bogus", "--values", "1",
-                   "--out", str(tmp_path)])
-        assert rc == 2
-
-    @pytest.mark.parametrize("argv,key", [
-        (["--param", "t_L", "--values", "0.1", "--dt", "0.3"], "duration"),
-        (["--param", "t_L", "--figure", "fig20", "--values", "0.3"], "t_L"),
-        (["--param", "wrapper_n", "--values", "2,1"], "wrapper_n"),
-        (["--param", "N", "--values", "1"], "N"),
-        (["--param", "s_T", "--values", "-5"], "s_T"),
-        (["--param", "wrapper_n", "--values", "2,1001"], "wrapper_n"),
-        (["--param", "t_L", "--figure", "fig16", "--values", "0.3"], "t_L"),
-        # 4 * 600 km at the default step is more table than the cap allows
-        (["--param", "s_T", "--values", "250,600000"], "s_T"),
-        (["--param", "N", "--values", "4", "--s-T", "600000"], "N"),
-        (["--param", "t_L", "--values", "0", "--dt", "0"], "dt"),
-    ])
-    def test_sweep_bad_scenario_exit_2(self, tmp_path, capsys, argv, key):
-        rc = main(["sweep", *argv, "--out", str(tmp_path)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"'{key}'" in err and "Traceback" not in err
-        if key == argv[1]:
-            # a bad value of the swept parameter is named as well
-            bad = argv[argv.index("--values") + 1].split(",")[-1]
-            assert f"value {bad}:" in err
-
-    @pytest.mark.parametrize("argv,flag", [
-        (["--param", "wrapper_n", "--values", "2", "--dt", "5"], "--dt"),
-        (["--param", "wrapper_n", "--values", "2", "--figure", "fig17"],
-         "--figure"),
-        (["--param", "wrapper_n", "--values", "2", "--s-T", "300"], "--s-T"),
-        (["--param", "t_L", "--values", "0", "--s-T", "7"], "--s-T"),
-        (["--param", "a_lat_max", "--values", "4", "--s-T", "7"], "--s-T"),
-        (["--param", "N", "--values", "4", "--dt", "0.01"], "--dt"),
-        (["--param", "N", "--values", "4", "--figure", "fig16"], "--figure"),
-        (["--param", "s_T", "--values", "250", "--s-T", "300"], "--s-T"),
-        (["--param", "s_T", "--values", "250", "--dt", "0.01"], "--dt"),
-    ])
-    def test_sweep_unread_flag_exit_2(self, tmp_path, capsys, argv, flag):
-        # each sweep takes only the flags its parameter reads
-        out = tmp_path / "out"
-        rc = main(["sweep", *argv, "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert flag in err and "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("param", ["t_L", "a_lat_max", "N"])
-    def test_sweep_unknown_figure_exit_2(self, tmp_path, capsys, param):
-        # --figure takes the named scenarios only, as simulate's does
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--param", param, "--figure", "bogus",
-                  "--values", "0", "--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--figure" in err and "'bogus'" in err
-        assert "Traceback" not in err
-        assert not out.exists()
 
     def test_sweep_lookahead(self, tmp_path, capsys):
         rc = main(["sweep", "--param", "t_L", "--values", "0,0.3",
@@ -725,14 +348,6 @@ class TestCli:
         assert header.startswith("x,g_2,gp_2,g_3")
         assert (tmp_path / "wrapper_curves.svg").exists()
 
-    def test_sweep_paths(self, tmp_path, capsys):
-        rc = main(["sweep", "--param", "N", "--values", "2,3,4,5",
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        for n in (2, 3, 4, 5):
-            assert (tmp_path / f"path_N{n}_sT250.csv").exists()
-        assert (tmp_path / "paths.svg").exists()
-
     def test_path_export(self, tmp_path, capsys):
         rc = main(["path", "--kind", "periodic", "--N", "4", "--s-T", "250",
                    "--out", str(tmp_path), "--no-plot"])
@@ -740,52 +355,3 @@ class TestCli:
         lines = (tmp_path / "path.csv").read_text().splitlines()
         assert lines[0] == "s,x,y,psi,kappa"
         assert len(lines) == 1 + 10001
-
-    @pytest.mark.parametrize("kind,length", [("circle", 2.0 * math.pi * 200.0),
-                                             ("periodic", 1000.0)])
-    def test_path_defaults_per_kind(self, tmp_path, capsys, kind, length):
-        # a circle of radius 200 m, a periodic path of N = 4 and s_T = 250 m
-        rc = main(["path", "--kind", kind, "--out", str(tmp_path),
-                   "--no-plot"])
-        assert rc == 0
-        assert f"length {length:.2f} m, closed" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("args,flag", [
-        (["--kind", "circle", "--N", "7", "--s-T", "3"], "--N"),
-        (["--kind", "circle", "--s-T", "3"], "--s-T"),
-        (["--kind", "periodic", "--radius", "5"], "--radius"),
-        (["--radius", "5"], "--radius"),
-        (["--kind", "straight", "--length", "10", "--N", "3"], "--N"),
-        (["--kind", "straight", "--length", "10", "--radius", "5"], "--radius"),
-    ])
-    def test_path_flag_of_another_kind_exit_2(self, tmp_path, capsys, args,
-                                              flag):
-        out = tmp_path / "out"
-        rc = main(["path", *args, "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert flag in err and "Traceback" not in err
-        assert not out.exists()
-
-    def test_path_straight_needs_length(self, tmp_path, capsys):
-        rc = main(["path", "--kind", "straight", "--out", str(tmp_path)])
-        assert rc == 2
-
-    @pytest.mark.parametrize("args,key", [
-        (["--kind", "straight", "--length", "inf"], "length"),
-        (["--kind", "straight", "--length", "1e17"], "length"),
-        (["--kind", "straight", "--length", "nan"], "length"),
-        (["--kind", "straight", "--length", "0"], "length"),
-        (["--kind", "straight"], "length"),
-        (["--step", "nan"], "step"),
-        (["--step", "1e-9"], "step"),
-        (["--kind", "circle", "--length", "-5"], "length"),
-    ])
-    def test_path_bad_step_or_length_exit_2(self, tmp_path, capsys, args,
-                                            key):
-        out = tmp_path / "out"
-        rc = main(["path", *args, "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"key '{key}'" in err and "Traceback" not in err
-        assert not out.exists()
