@@ -187,13 +187,11 @@ def linearize_longitudinal(kappa_star: float, params: VehicleParams,
 
 @dataclass(frozen=True)
 class EquivalenceScenario:
-    """Open-loop input signals and initial state for an equivalence run."""
+    """Open-loop input signals and initial speed for an equivalence run; the
+    pose starts at the origin."""
 
     duration: float
     dt: float
-    x0: float = 0.0
-    y0: float = 0.0
-    psi0: float = 0.0
     sigma1_0: float = 15.0
     gamma_fn: Callable[[float], tuple[float, float, float]] = \
         field(default=lambda t: (0.0, 0.0, 0.0))
@@ -226,6 +224,18 @@ DEFAULT_SCENARIOS = {
         F_F_fn=lambda t: 80.0 * math.sin(0.9 * t)),
 }
 
+# each pair's other variant, its tolerance and the maps of sigma1 to its
+# speed state and back at steering angle gamma; the wheel model shares sigma1
+_PAIRS = {
+    "skate_wheel": (Variant.WHEEL_TORQUE, 1e-9, None, None),
+    "appell_lagrange": (Variant.SKATE_FORCE_LAGRANGE, 1e-6,
+                        lambda s1, g, l: s1 * math.tan(g) / l,
+                        lambda s1b, g, l: s1b * l / math.tan(g)),
+    "alt_pseudo": (Variant.SKATE_FORCE_ALT_PSEUDO, 1e-9,
+                   lambda s1, g, l: s1 / math.cos(g),
+                   lambda s1h, g, l: s1h * math.cos(g)),
+}
+
 
 @dataclass(frozen=True)
 class EquivalenceReport:
@@ -239,10 +249,10 @@ class EquivalenceReport:
 
 
 def _integrate_open_loop(other: Variant, base0, other0,
-                         sc: EquivalenceScenario, params: VehicleParams,
-                         to_torque: bool):
+                         sc: EquivalenceScenario, params: VehicleParams):
     """Integrate SKATE_FORCE from ``base0`` and ``other`` from ``other0`` as
     one joined state; returns the two halves' (n + 1, len) state arrays.
+    A wheel model is driven by the torques T = r*F of the reference's forces.
 
     The drive inputs are built once per stage time for both halves. The RK4
     step does each component's arithmetic on its own, so each half equals
@@ -262,7 +272,7 @@ def _integrate_open_loop(other: Variant, base0, other0,
         g, gd, gdd = sc.gamma_fn(t)
         fr, ff = sc.F_R_fn(t), sc.F_F_fn(t)
         u = DriveInput(g, gd, gdd, fr, ff)
-        if to_torque:
+        if other.wheel:
             return u, DriveInput(g, gd, gdd, 0.0, 0.0, r * fr, r * ff)
         return u, u
 
@@ -317,31 +327,21 @@ def verify_equivalence(pair: str, params: VehicleParams,
     gamma = 0), 'alt_pseudo' (front-wheel-speed pseudo-velocity, regular
     across gamma = 0).
     """
-    if pair not in DEFAULT_SCENARIOS:
+    if pair not in _PAIRS:
         raise ValueError(f"unknown pair {pair!r}")
     sc = scenario or DEFAULT_SCENARIOS[pair]
-    tol = {"skate_wheel": 1e-9, "appell_lagrange": 1e-6,
-           "alt_pseudo": 1e-9}[pair]
-
-    base0 = [sc.x0, sc.y0, sc.psi0, sc.sigma1_0]
-    if pair == "skate_wheel":
-        ref, other = _integrate_open_loop(
-            Variant.WHEEL_TORQUE, base0, base0 + [0.0, 0.0], sc, params,
-            to_torque=True)
+    other, tol, to_other, to_sigma1 = _PAIRS[pair]
+    base0 = [0.0, 0.0, 0.0, sc.sigma1_0]
+    if other.wheel:   # the wheel angles ride along and sigma1 is shared
+        ref, got = _integrate_open_loop(other, base0, base0 + [0.0, 0.0], sc,
+                                        params)
         return EquivalenceReport(
-            pair, float(np.max(np.abs(other[:, :4] - ref))), tol)
+            pair, float(np.max(np.abs(got[:, :4] - ref))), tol)
 
     # the steering angle at each committed sample, evaluated once
     n_steps = int(round(sc.duration / sc.dt))
     gammas = [sc.gamma_fn(k * sc.dt)[0] for k in range(n_steps + 1)]
-    if pair == "alt_pseudo":
-        alt0 = base0[:3] + [sc.sigma1_0 / math.cos(gammas[0])]
-        ref, other = _integrate_open_loop(
-            Variant.SKATE_FORCE_ALT_PSEUDO, base0, alt0, sc, params,
-            to_torque=False)
-        mapped = other.copy()
-        mapped[:, 3] = [s * math.cos(g) for s, g in zip(other[:, 3], gammas)]
-    else:
+    if other is Variant.SKATE_FORCE_LAGRANGE:
         # the yaw-rate form breaks down near gamma = 0 (cot gamma unbounded);
         # reject scenarios whose steering signal enters that band or steps
         # across it between two samples
@@ -357,13 +357,8 @@ def verify_equivalence(pair: str, params: VehicleParams,
                 f"steering signal crosses gamma = 0 between t = "
                 f"{k * sc.dt:.4f} s and {(k + 1) * sc.dt:.4f} s: the yaw-rate "
                 f"pseudo-velocity form is singular at gamma = 0")
-        lag0 = base0[:3] + [sc.sigma1_0 * math.tan(gammas[0]) / params.l]
-        ref, other = _integrate_open_loop(
-            Variant.SKATE_FORCE_LAGRANGE, base0, lag0, sc, params,
-            to_torque=False)
-        mapped = other.copy()
-        mapped[:, 3] = [s * params.l / math.tan(g)
-                        for s, g in zip(other[:, 3], gammas)]
-
-    dev = float(np.max(np.abs(mapped - ref)))
-    return EquivalenceReport(pair, dev, tol)
+    other0 = base0[:3] + [to_other(sc.sigma1_0, gammas[0], params.l)]
+    ref, got = _integrate_open_loop(other, base0, other0, sc, params)
+    mapped = got.copy()
+    mapped[:, 3] = [to_sigma1(s, g, params.l) for s, g in zip(got[:, 3], gammas)]
+    return EquivalenceReport(pair, float(np.max(np.abs(mapped - ref))), tol)

@@ -224,8 +224,9 @@ def cmd_sweep(args) -> None:
     if args.param not in SWEEP_PARAMS:
         raise ConfigError(f"--param: unknown sweep parameter {args.param!r}; "
                           f"expected one of {tuple(SWEEP_PARAMS)}")
+    texts = [v.strip() for v in args.values.split(",")]
     try:
-        values = [float(v) for v in args.values.split(",")]
+        values = [float(v) for v in texts]
     except ValueError as exc:
         raise ConfigError(f"--values: {exc}") from None
     for flag, value in (("--figure", args.figure), ("--dt", args.dt),
@@ -240,25 +241,35 @@ def cmd_sweep(args) -> None:
             args.figure or ("fig17" if args.param == "t_L" else "fig20"),
             dt=1e-3 if args.dt is None else args.dt)
     items = []
-    for v in values:
+    for text, v in zip(texts, values):
         try:
             items.append(_sweep_item(args.param, v, base, s_T))
         except ValueError as exc:
-            raise ConfigError(f"--param '{args.param}' value {v:g}: "
+            raise ConfigError(f"--param '{args.param}' value {text}: "
                               f"{exc}") from None
+    if args.param == "wrapper_n":
+        return _sweep_wrapper(values, items, _out_dir(args.out))
+    # one file per value: two values that would share it exit 2
+    files = [f"path_N{prof.N}_sT{prof.s_T:g}.csv" for prof, _ in items] \
+        if base is None else [f"trace_{args.param}_{v:g}.csv" for v in values]
+    first = {}
+    for text, name in zip(texts, files):
+        if name in first:
+            raise ConfigError(f"--values: {first[name]} and {text} would "
+                              f"both write {name}")
+        first[name] = text
 
     out = _out_dir(args.out)
-    if args.param == "wrapper_n":
-        return _sweep_wrapper(values, items, out)
     if base is None:
-        return _sweep_paths(items, out)
+        return _sweep_paths(items, files, out)
     rows = []
     # each lane's CSV is written as it arrives; see README on exit 3
-    for value, trace in zip(values, _run_concurrently(items), strict=True):
+    for value, name, trace in zip(values, files, _run_concurrently(items),
+                                  strict=True):
         tail = trace.t >= trace.t[-1] * 0.4
         rms = float(np.sqrt(np.mean(trace["e_C"][tail] ** 2)))
         rows.append((value, rms))
-        trace.to_csv(out / f"trace_{args.param}_{value:g}.csv")
+        trace.to_csv(out / name)
         print(f"{args.param} = {value:g}: post-transient rms e_C = {rms:.5g} m")
     dest = out / f"sweep_{args.param}.csv"
     write_csv(dest, (args.param, "rms_e"), list(zip(*rows)))
@@ -285,11 +296,11 @@ def _sweep_wrapper(values, specs, out: Path) -> None:
     print(f"wrote {dest} and {out / 'wrapper_curves.svg'}")
 
 
-def _sweep_paths(paths, out: Path) -> None:
+def _sweep_paths(paths, files, out: Path) -> None:
     panel = Panel("closed paths", "x [m]", "y [m]", equal_aspect=True)
-    for prof, table in paths:
+    for (prof, table), name in zip(paths, files):
         label = f"N={prof.N}, s_T={prof.s_T:g}"
-        table.to_csv(out / f"path_N{prof.N}_sT{prof.s_T:g}.csv")
+        table.to_csv(out / name)
         panel.add(label, table.x, table.y)
         print(f"{label}: perimeter {table.perimeter:.1f} m, closed")
     figure_panels([panel], out / "paths.svg", columns=1)

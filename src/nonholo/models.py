@@ -27,62 +27,6 @@ from .params import GRAVITY, VehicleParams
 GAMMA_GUARD = 1e-9  # distance from the singular angle at which guards trip
 
 
-class Variant(Enum):
-    SKATE_KINEMATIC = "skate_kinematic"
-    SKATE_FORCE = "skate_force"
-    SKATE_TORQUE_STEER = "skate_torque_steer"
-    SKATE_FORCE_TORQUE_STEER = "skate_force_torque_steer"
-    WHEEL_KINEMATIC = "wheel_kinematic"
-    WHEEL_TORQUE = "wheel_torque"
-    WHEEL_TORQUE_STEER = "wheel_torque_steer"
-    WHEEL_TORQUE_TORQUE_STEER = "wheel_torque_torque_steer"
-    SKATE_FORCE_ALT_PSEUDO = "skate_force_alt_pseudo"
-    SKATE_FORCE_LAGRANGE = "skate_force_lagrange"
-
-
-STATE_FIELDS: dict[Variant, tuple[str, ...]] = {
-    Variant.SKATE_KINEMATIC: ("x_G", "y_G", "psi"),
-    Variant.SKATE_FORCE: ("x_G", "y_G", "psi", "sigma1"),
-    Variant.SKATE_TORQUE_STEER: ("x_G", "y_G", "psi", "gamma", "sigma2"),
-    Variant.SKATE_FORCE_TORQUE_STEER:
-        ("x_G", "y_G", "psi", "gamma", "sigma1", "sigma2"),
-    Variant.WHEEL_KINEMATIC: ("x_G", "y_G", "psi", "phi_R", "phi_F"),
-    Variant.WHEEL_TORQUE: ("x_G", "y_G", "psi", "sigma1", "phi_R", "phi_F"),
-    Variant.WHEEL_TORQUE_STEER:
-        ("x_G", "y_G", "psi", "gamma", "sigma2", "phi_R", "phi_F"),
-    Variant.WHEEL_TORQUE_TORQUE_STEER:
-        ("x_G", "y_G", "psi", "gamma", "sigma1", "sigma2", "phi_R", "phi_F"),
-    Variant.SKATE_FORCE_ALT_PSEUDO: ("x_G", "y_G", "psi", "sigma1_hat"),
-    Variant.SKATE_FORCE_LAGRANGE: ("x_G", "y_G", "psi", "sigma1_bar"),
-}
-
-# inputs each variant consumes; anything else must stay zero
-INPUT_FIELDS: dict[Variant, tuple[str, ...]] = {
-    Variant.SKATE_KINEMATIC: ("gamma",),
-    Variant.SKATE_FORCE: ("gamma", "gamma_dot", "gamma_ddot", "F_R", "F_F"),
-    Variant.SKATE_TORQUE_STEER: ("T_s",),
-    Variant.SKATE_FORCE_TORQUE_STEER: ("T_s", "F_R", "F_F"),
-    Variant.WHEEL_KINEMATIC: ("gamma",),
-    Variant.WHEEL_TORQUE: ("gamma", "gamma_dot", "gamma_ddot", "T_R", "T_F"),
-    Variant.WHEEL_TORQUE_STEER: ("T_s",),
-    Variant.WHEEL_TORQUE_TORQUE_STEER: ("T_s", "T_R", "T_F"),
-    Variant.SKATE_FORCE_ALT_PSEUDO:
-        ("gamma", "gamma_dot", "gamma_ddot", "F_R", "F_F"),
-    Variant.SKATE_FORCE_LAGRANGE:
-        ("gamma", "gamma_dot", "gamma_ddot", "F_R", "F_F"),
-}
-
-CONSTRAINED_SPEED = frozenset({
-    Variant.SKATE_KINEMATIC, Variant.SKATE_TORQUE_STEER,
-    Variant.WHEEL_KINEMATIC, Variant.WHEEL_TORQUE_STEER,
-})
-
-WHEEL_VARIANTS = frozenset({
-    Variant.WHEEL_KINEMATIC, Variant.WHEEL_TORQUE,
-    Variant.WHEEL_TORQUE_STEER, Variant.WHEEL_TORQUE_TORQUE_STEER,
-})
-
-
 class DriveInput(NamedTuple):
     """Inputs for one evaluation of the equations of motion.
 
@@ -110,19 +54,61 @@ class DriveInput(NamedTuple):
                     f"input {name} is not used by {variant.value} and must be zero")
 
 
-# Each member carries its flags, so the per-call model bodies read attributes
-# instead of hashing the Enum (a Python-level __hash__) into the tables above.
-for _v in Variant:
-    _v.n_states = len(STATE_FIELDS[_v])
-    _v.forbidden = tuple(name for name in DriveInput._fields
-                         if name not in INPUT_FIELDS[_v])
-    # every variant forbids at least three inputs, so this returns a tuple
-    _v.forbidden_values = attrgetter(*_v.forbidden)
-    _v.forbidden_zeros = (0.0,) * len(_v.forbidden)
-    _v.constrained_speed = _v in CONSTRAINED_SPEED
-    _v.wheel = _v in WHEEL_VARIANTS
-    _v.torque_steer = "sigma2" in STATE_FIELDS[_v]
-del _v
+class Variant(Enum):
+    """One row per model: its value, the state fields it integrates and the
+    drive inputs it reads; any other input must stay zero.
+
+    The flags follow from the states: a rigid-wheel model integrates the
+    wheel angle phi_R, a torque-steered one the steering rate sigma2, and a
+    constant-speed one has no sigma1 state. Each member carries them as
+    attributes, which ``eom_floats`` reads on every call.
+    """
+
+    SKATE_KINEMATIC = "skate_kinematic", ("x_G", "y_G", "psi"), ("gamma",)
+    SKATE_FORCE = ("skate_force", ("x_G", "y_G", "psi", "sigma1"),
+                   ("gamma", "gamma_dot", "gamma_ddot", "F_R", "F_F"))
+    SKATE_TORQUE_STEER = ("skate_torque_steer",
+                          ("x_G", "y_G", "psi", "gamma", "sigma2"), ("T_s",))
+    SKATE_FORCE_TORQUE_STEER = (
+        "skate_force_torque_steer",
+        ("x_G", "y_G", "psi", "gamma", "sigma1", "sigma2"), ("T_s", "F_R", "F_F"))
+    WHEEL_KINEMATIC = ("wheel_kinematic",
+                       ("x_G", "y_G", "psi", "phi_R", "phi_F"), ("gamma",))
+    WHEEL_TORQUE = ("wheel_torque",
+                    ("x_G", "y_G", "psi", "sigma1", "phi_R", "phi_F"),
+                    ("gamma", "gamma_dot", "gamma_ddot", "T_R", "T_F"))
+    WHEEL_TORQUE_STEER = (
+        "wheel_torque_steer",
+        ("x_G", "y_G", "psi", "gamma", "sigma2", "phi_R", "phi_F"), ("T_s",))
+    WHEEL_TORQUE_TORQUE_STEER = (
+        "wheel_torque_torque_steer",
+        ("x_G", "y_G", "psi", "gamma", "sigma1", "sigma2", "phi_R", "phi_F"),
+        ("T_s", "T_R", "T_F"))
+    SKATE_FORCE_ALT_PSEUDO = (
+        "skate_force_alt_pseudo", ("x_G", "y_G", "psi", "sigma1_hat"),
+        ("gamma", "gamma_dot", "gamma_ddot", "F_R", "F_F"))
+    SKATE_FORCE_LAGRANGE = (
+        "skate_force_lagrange", ("x_G", "y_G", "psi", "sigma1_bar"),
+        ("gamma", "gamma_dot", "gamma_ddot", "F_R", "F_F"))
+
+    def __new__(cls, value: str, states: tuple[str, ...],
+                inputs: tuple[str, ...]):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.states, member.inputs = states, inputs
+        member.n_states = len(states)
+        member.forbidden = tuple(name for name in DriveInput._fields
+                                 if name not in inputs)
+        # every variant forbids at least three inputs, so this returns a tuple
+        member.forbidden_values = attrgetter(*member.forbidden)
+        member.forbidden_zeros = (0.0,) * len(member.forbidden)
+        member.wheel = "phi_R" in states
+        member.torque_steer = "sigma2" in states
+        member.constrained_speed = not any(name.startswith("sigma1")
+                                           for name in states)
+        return member
+
+
 _ALT_PSEUDO = Variant.SKATE_FORCE_ALT_PSEUDO
 _LAGRANGE = Variant.SKATE_FORCE_LAGRANGE
 
@@ -152,7 +138,7 @@ def eom_rhs(variant: Variant, state, u: DriveInput, params: VehicleParams,
             V: float | None = None) -> np.ndarray:
     """Right-hand side of the chosen model's equations of motion.
 
-    ``state`` is ordered per ``STATE_FIELDS[variant]``. Constrained-speed
+    ``state`` is ordered per ``variant.states``. Constrained-speed
     variants take the constant longitudinal speed ``V``; it is a parameter,
     never integrated.
     """

@@ -54,6 +54,10 @@ MODE_READS = {
                                      "v_max", "preview_dist")),
 }
 
+# a run peaks near 375-440 bytes a step (fig20 at 60k and 600k steps with
+# its CSV and SVG), about 0.8 GB at the cap
+STEPS_MAX = 2_000_000
+
 TRACE_COLUMNS = (
     "t", "x_G", "y_G", "psi", "gamma", "sigma1", "sigma2",
     "s_C", "e_C", "theta_C", "gamma_des", "gamma_ff", "gamma_fb",
@@ -91,6 +95,11 @@ class Scenario:
         if not (0.5 <= n < math.inf and abs(n - round(n)) <= 1e-9 * n):
             raise ValueError(f"key 'duration': {self.duration:g} s is not a "
                              f"whole number of dt = {self.dt:g} s steps")
+        if n > STEPS_MAX:
+            # as build_path does: blame a dt below the default, else duration
+            key = "dt" if self.dt < 1e-3 else "duration"
+            raise ValueError(f"key '{key}': {self.duration:g} s at dt = "
+                             f"{self.dt:g} s is more than {STEPS_MAX} steps")
         if self.mode not in MODES:
             raise ValueError(f"key 'mode': unknown mode {self.mode!r}")
         if self.law not in LAWS:
@@ -500,35 +509,27 @@ def _constraint_residual_rows(sc: Scenario, ys, diag, psic):
 
 # -- named scenarios reproducing the experiments -----------------------------
 
+# each figure's profile, controller mode, duration and other settings; every
+# figure starts 10 m off the path at 20 m/s
+_FIGURES = {
+    "fig13": (CurvatureProfile.straight(), "steer_only", 30.0, {}),
+    "fig14": (CurvatureProfile.circle(200.0), "steer_only", 35.0,
+              {"theta0": math.radians(20.0)}),
+    "fig16": (CurvatureProfile.periodic(4, 250.0), "steer_only", 50.0, {}),
+    "fig17": (CurvatureProfile.periodic(4, 250.0), "steer_torque", 50.0, {}),
+    "fig18": (CurvatureProfile.periodic(4, 250.0), "steer_torque", 50.0,
+              {"gains": ControlGains(t_L=0.3)}),
+    "fig20": (CurvatureProfile.periodic(4, 250.0), "steer_longitudinal", 60.0, {}),
+    "fig21": (CurvatureProfile.periodic(4, 50.0), "steer_longitudinal", 30.0,
+              {"gains": ControlGains(a_lat_max=12.0)}),
+}
+FIGURES = tuple(_FIGURES)
+
+
 def named_scenario(name: str, dt: float = 1e-3) -> Scenario:
     """Built-in scenario definitions for the reference experiments."""
-    base = dict(params=VehicleParams(), gains=ControlGains(), dt=dt, V=20.0,
-                e0=-10.0)
-    if name == "fig13":
-        return Scenario(name=name, profile=CurvatureProfile.straight(),
-                        mode="steer_only", duration=30.0, **base)
-    if name == "fig14":
-        return Scenario(name=name, profile=CurvatureProfile.circle(200.0),
-                        mode="steer_only", duration=35.0,
-                        theta0=math.radians(20.0), **base)
-    if name == "fig16":
-        return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
-                        mode="steer_only", duration=50.0, **base)
-    if name == "fig17":
-        return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
-                        mode="steer_torque", duration=50.0, **base)
-    if name == "fig18":
-        base["gains"] = ControlGains(t_L=0.3)
-        return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
-                        mode="steer_torque", duration=50.0, **base)
-    if name == "fig20":
-        return Scenario(name=name, profile=CurvatureProfile.periodic(4, 250.0),
-                        mode="steer_longitudinal", duration=60.0, **base)
-    if name == "fig21":
-        base["gains"] = ControlGains(a_lat_max=12.0)
-        return Scenario(name=name, profile=CurvatureProfile.periodic(4, 50.0),
-                        mode="steer_longitudinal", duration=30.0, **base)
-    raise ValueError(f"unknown scenario {name!r}; known: {sorted(FIGURES)}")
-
-
-FIGURES = ("fig13", "fig14", "fig16", "fig17", "fig18", "fig20", "fig21")
+    if name not in _FIGURES:
+        raise ValueError(f"unknown scenario {name!r}; known: {sorted(FIGURES)}")
+    profile, mode, duration, settings = _FIGURES[name]
+    return Scenario(name=name, profile=profile, mode=mode, duration=duration,
+                    dt=dt, V=20.0, e0=-10.0, **settings)

@@ -277,6 +277,24 @@ class TestEquivalenceSuite:
         assert report.passed, report
         assert report.max_deviation < 1e-9
 
+    def test_pair_table(self, params):
+        # perfbench runs the pairs of DEFAULT_SCENARIOS, so the keys agree
+        assert list(analysis._PAIRS) == list(DEFAULT_SCENARIOS)
+        assert {pair: row[:2] for pair, row in analysis._PAIRS.items()} == {
+            "skate_wheel": (Variant.WHEEL_TORQUE, 1e-9),
+            "appell_lagrange": (Variant.SKATE_FORCE_LAGRANGE, 1e-6),
+            "alt_pseudo": (Variant.SKATE_FORCE_ALT_PSEUDO, 1e-9)}
+        for pair, (other, tol, to_other, to_sigma1) in analysis._PAIRS.items():
+            assert verify_equivalence(pair, params, replace(
+                DEFAULT_SCENARIOS[pair], duration=0.01)).tol == tol
+            if other.wheel:
+                assert to_other is to_sigma1 is None
+                continue
+            # the two maps are inverses
+            for g in (-1.2, -0.3, 0.05, 0.7):
+                back = to_sigma1(to_other(15.0, g, params.l), g, params.l)
+                assert back == pytest.approx(15.0, rel=1e-15)
+
     def test_lagrange_through_zero_raises(self, params):
         scenario = EquivalenceScenario(duration=10.0, dt=1e-3, sigma1_0=15.0,
                                        gamma_fn=_sine_steer(0.3, 1.0, 0.2),
@@ -349,8 +367,7 @@ def test_joined_run_equals_separate_runs(params, pair):
         return base.gamma_fn(t)
 
     ref, got = _integrate_open_loop(other, BASE0, other0,
-                                    replace(base, gamma_fn=counting), params,
-                                    to_torque)
+                                    replace(base, gamma_fn=counting), params)
     stage_times = []
     assert np.array_equal(ref, separate_run(Variant.SKATE_FORCE, BASE0, base,
                                             params, False, times=stage_times))
@@ -390,7 +407,7 @@ def test_joined_run_guard_names_its_half(params, joined_states, name):
     with pytest.raises(GuardTripped) as alone:
         separate_run(*halves[i], sc, params, False)
     with pytest.raises(SingularEncounter) as joined:
-        _integrate_open_loop(other, BASE0, other0, sc, params, False)
+        _integrate_open_loop(other, BASE0, other0, sc, params)
     cause = alone.value.cause
     assert str(joined.value) == (f"{name} hit a guard at t = "
                                  f"{alone.value.time:.4f} s: {cause}")
@@ -412,7 +429,7 @@ def test_joined_run_lagrange_guard_between_stage_times(params):
     with pytest.raises(SingularEncounter, match="^skate_force_lagrange hit a "
                        "guard at t = 3.8710 s: gamma changes sign") as joined:
         _integrate_open_loop(Variant.SKATE_FORCE_LAGRANGE, BASE0, lag0, sc,
-                             params, False)
+                             params)
     assert type(joined.value.__cause__.cause) is LagrangeSingularity
 
 
@@ -439,7 +456,7 @@ def test_joined_run_nan_stays_in_its_half(params, joined_states, monkeypatch,
     with pytest.raises(SingularEncounter,
                        match=f"^{poisoned.value} diverged at t = "
                              f"{(row - 1) * sc.dt:.4f} s"):
-        _integrate_open_loop(other, BASE0, other0, sc, params, True)
+        _integrate_open_loop(other, BASE0, other0, sc, params)
     ref, got = joined_states[0][:, :4], joined_states[0][:, 4:]
     assert np.array_equal(ref, alone[Variant.SKATE_FORCE], equal_nan=True)
     assert np.array_equal(got, alone[other], equal_nan=True)

@@ -33,7 +33,7 @@ import pytest
 
 from nonholo import cli
 from nonholo.config import dump_config
-from nonholo.sim import named_scenario
+from nonholo.sim import STEPS_MAX, named_scenario
 from test_config_cli import MINIMAL
 
 
@@ -163,6 +163,12 @@ CASES = [
     # 1.2M steps of fig20 would outlast the script's time limit
     case("simulate --figure fig20 --dt 0.00005 --out {tmp}/L", 2, "--out",
          link="L", script=True),
+    # more than STEPS_MAX steps exits 2 before anything is allocated,
+    # naming dt below its default and duration otherwise
+    config(PERIODIC + "}\nsim {\n    duration = 1e12\n}\n", 2, "'duration'",
+           str(STEPS_MAX)),
+    case("simulate --figure fig16 --dt 1e-12", 2, "'dt'", str(STEPS_MAX),
+         script=True),
     # a subcommand registers only the flags it reads
     case("simulate --figure fig13 --seed 7", 2, "--seed", usage=True,
          script=True),
@@ -200,6 +206,9 @@ CASES = [
     case("sweep --param t_L --figure fig20 --values 0.3", 2, "'t_L'",
          "value 0.3:"),
     case("sweep --param wrapper_n --values 2,1", 2, "'wrapper_n'", "value 1:"),
+    # the value as typed, not as %g prints it
+    case("sweep --param wrapper_n --values 2.0000001", 2, "'wrapper_n'",
+         "value 2.0000001:"),
     case("sweep --param N --values 1", 2, "'N'", "value 1:"),
     case("sweep --param s_T --values -5", 2, "'s_T'", "value -5:"),
     case("sweep --param wrapper_n --values 2,1001", 2, "'wrapper_n'",
@@ -210,6 +219,18 @@ CASES = [
     case("sweep --param s_T --values 250,600000", 2, "'s_T'", "value 600000:"),
     case("sweep --param N --values 4 --s-T 600000", 2, "'N'", "value 4:"),
     case("sweep --param t_L --values 0 --dt 0", 2, "'dt'"),
+    case("sweep --param t_L --values 0 --dt 1e-12", 2, "'dt'",
+         str(STEPS_MAX)),
+    # two values that would write one file exit 2 before any lane runs
+    case("sweep --param t_L --values 0.30000001,0.30000002 --dt 0.05", 2,
+         "--values", "0.30000001 and 0.30000002", "trace_t_L_0.3.csv",
+         script=True),
+    case("sweep --param a_lat_max --values 4,4.0 --dt 0.05", 2, "--values",
+         "4 and 4.0", "trace_a_lat_max_4.csv"),
+    case("sweep --param s_T --values 250,300,250.0000001", 2, "--values",
+         "250 and 250.0000001", "path_N4_sT250.csv"),
+    case("sweep --param N --values 3,4,4", 2, "--values", "4 and 4",
+         "path_N4_sT250.csv"),
     # each sweep takes only the flags its parameter reads
     case("sweep --param wrapper_n --values 2 --dt 5", 2, "--dt", script=True),
     *(case(f"sweep --param {a}", 2, a.split()[-2]) for a in (

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from nonholo.errors import LagrangeSingularity, SteeringSingularity
-from nonholo.models import (CONSTRAINED_SPEED, INPUT_FIELDS, STATE_FIELDS,
-                            WHEEL_VARIANTS, DriveInput, Variant,
+from nonholo.models import (DriveInput, Variant,
                             constraining_forces, constraint_residuals, eom_rhs)
 from nonholo.params import GRAVITY
 
@@ -13,7 +12,7 @@ import oracles
 
 
 def random_state_and_input(rng, variant, gamma_limit=1.3):
-    fields = STATE_FIELDS[variant]
+    fields = variant.states
     y = []
     for name in fields:
         if name in ("x_G", "y_G"):
@@ -31,19 +30,76 @@ def random_state_and_input(rng, variant, gamma_limit=1.3):
         kwargs["gamma"] = rng.uniform(-gamma_limit, gamma_limit)
         if variant is Variant.SKATE_FORCE_LAGRANGE:
             kwargs["gamma"] = rng.uniform(0.05, gamma_limit) * rng.choice([-1, 1])
-        if variant not in CONSTRAINED_SPEED:
+        if not variant.constrained_speed:
             kwargs["gamma_dot"] = rng.uniform(-0.5, 0.5)
             kwargs["gamma_ddot"] = rng.uniform(-1.0, 1.0)
-    if variant in WHEEL_VARIANTS and variant not in CONSTRAINED_SPEED:
+    if variant.wheel and not variant.constrained_speed:
         kwargs["T_R"] = rng.uniform(-600.0, 600.0)
         kwargs["T_F"] = rng.uniform(-600.0, 600.0)
-    elif variant not in CONSTRAINED_SPEED and variant not in WHEEL_VARIANTS:
+    elif not variant.constrained_speed and not variant.wheel:
         kwargs["F_R"] = rng.uniform(-2000.0, 2000.0)
         kwargs["F_F"] = rng.uniform(-2000.0, 2000.0)
     if "sigma2" in fields:
         kwargs["T_s"] = rng.uniform(-1.0, 1.0)
-    V = rng.uniform(5.0, 30.0) if variant in CONSTRAINED_SPEED else None
+    V = rng.uniform(5.0, 30.0) if variant.constrained_speed else None
     return y, DriveInput(**kwargs), V
+
+
+# what each row of Variant states, written out by value: the state fields,
+# the inputs read, and the sets of variants behind each flag
+FORCE_INPUTS = ("gamma", "gamma_dot", "gamma_ddot", "F_R", "F_F")
+ROWS = {
+    "skate_kinematic": (("x_G", "y_G", "psi"), ("gamma",)),
+    "skate_force": (("x_G", "y_G", "psi", "sigma1"), FORCE_INPUTS),
+    "skate_torque_steer": (("x_G", "y_G", "psi", "gamma", "sigma2"),
+                           ("T_s",)),
+    "skate_force_torque_steer": (
+        ("x_G", "y_G", "psi", "gamma", "sigma1", "sigma2"),
+        ("T_s", "F_R", "F_F")),
+    "wheel_kinematic": (("x_G", "y_G", "psi", "phi_R", "phi_F"), ("gamma",)),
+    "wheel_torque": (("x_G", "y_G", "psi", "sigma1", "phi_R", "phi_F"),
+                     ("gamma", "gamma_dot", "gamma_ddot", "T_R", "T_F")),
+    "wheel_torque_steer": (
+        ("x_G", "y_G", "psi", "gamma", "sigma2", "phi_R", "phi_F"), ("T_s",)),
+    "wheel_torque_torque_steer": (
+        ("x_G", "y_G", "psi", "gamma", "sigma1", "sigma2", "phi_R", "phi_F"),
+        ("T_s", "T_R", "T_F")),
+    "skate_force_alt_pseudo": (("x_G", "y_G", "psi", "sigma1_hat"),
+                               FORCE_INPUTS),
+    "skate_force_lagrange": (("x_G", "y_G", "psi", "sigma1_bar"),
+                             FORCE_INPUTS),
+}
+CONSTANT_SPEED = {"skate_kinematic", "skate_torque_steer", "wheel_kinematic",
+                  "wheel_torque_steer"}
+WHEEL = {"wheel_kinematic", "wheel_torque", "wheel_torque_steer",
+         "wheel_torque_torque_steer"}
+TORQUE_STEER = {"skate_torque_steer", "skate_force_torque_steer",
+                "wheel_torque_steer", "wheel_torque_torque_steer"}
+
+
+class TestVariantRows:
+    def test_values_states_and_inputs(self):
+        assert [v.value for v in Variant] == list(ROWS)
+        for value, (states, inputs) in ROWS.items():
+            variant = Variant(value)
+            assert variant.value == value
+            assert variant.states == states
+            assert variant.inputs == inputs
+            assert variant.n_states == len(states)
+
+    def test_flags(self):
+        assert {v.value for v in Variant if v.constrained_speed} == \
+            CONSTANT_SPEED
+        assert {v.value for v in Variant if v.wheel} == WHEEL
+        assert {v.value for v in Variant if v.torque_steer} == TORQUE_STEER
+
+    def test_forbidden_inputs(self):
+        for variant in Variant:
+            assert variant.forbidden == tuple(
+                n for n in DriveInput._fields if n not in variant.inputs)
+            assert variant.forbidden_zeros == (0.0,) * len(variant.forbidden)
+            assert variant.forbidden_values(DriveInput()) == \
+                variant.forbidden_zeros
 
 
 class TestDriveInput:
@@ -165,7 +221,7 @@ class TestSkateWheelEquivalence:
             assert np.allclose(dy_w[:4], dy_s, rtol=1e-12, atol=1e-12)
 
     def test_wheel_angles_decoupled(self, params, rng):
-        for variant in WHEEL_VARIANTS:
+        for variant in map(Variant, sorted(WHEEL)):
             y, u, V = random_state_and_input(rng, variant)
             dy = eom_rhs(variant, y, u, params, V=V)
             y2 = list(y)
@@ -256,12 +312,12 @@ class TestAlternateForms:
         # every variant: each input it does not use, a state of the wrong
         # length, and a missing constant speed
         for variant in Variant:
-            y = [0.0, 0.0, 0.0] + [0.5] * (len(STATE_FIELDS[variant]) - 3)
+            y = [0.0, 0.0, 0.0] + [0.5] * (len(variant.states) - 3)
             u = DriveInput()
-            V = 10.0 if variant in CONSTRAINED_SPEED else None
+            V = 10.0 if variant.constrained_speed else None
             for name in ("gamma", "gamma_dot", "gamma_ddot", "F_R", "F_F",
                          "T_R", "T_F", "T_s"):
-                if name not in INPUT_FIELDS[variant]:
+                if name not in variant.inputs:
                     with pytest.raises(ValueError, match=name):
                         eom_rhs(variant, y, DriveInput(**{name: 1.0}),
                                 params, V=V)

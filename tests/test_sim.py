@@ -8,7 +8,9 @@ from nonholo.control import (feedback_law, steering_saturation,
                              steering_torque, target_speed)
 from nonholo.errors import GuardTripped, SteeringSingularity, TubeSingularity
 from nonholo.models import DriveInput, Variant, eom_rhs
+from nonholo.params import ControlGains
 from nonholo.path import CurvatureProfile, build_path
+from nonholo import sim as sim_module
 from nonholo.sim import (FIGURES, Scenario, _make_loop, count_zero_crossings,
                          integrate, named_scenario, rk4_step, run_scenario)
 from oracles import composed_longitudinal_loop, rk4_step_reference
@@ -165,7 +167,58 @@ class TestRk4Step:
             integrate(rhs, [0.0, 0.0, 0.0], 0.01, 0.1)
 
 
+# each figure's settings, written out apart from sim._FIGURES; every figure
+# starts at V = 20 m/s and e0 = -10 m
+FIGURE_SETTINGS = {
+    "fig13": dict(profile=CurvatureProfile.straight(), mode="steer_only",
+                  duration=30.0),
+    "fig14": dict(profile=CurvatureProfile.circle(200.0), mode="steer_only",
+                  duration=35.0, theta0=math.radians(20.0)),
+    "fig16": dict(profile=CurvatureProfile.periodic(4, 250.0),
+                  mode="steer_only", duration=50.0),
+    "fig17": dict(profile=CurvatureProfile.periodic(4, 250.0),
+                  mode="steer_torque", duration=50.0),
+    "fig18": dict(profile=CurvatureProfile.periodic(4, 250.0),
+                  mode="steer_torque", duration=50.0,
+                  gains=ControlGains(t_L=0.3)),
+    "fig20": dict(profile=CurvatureProfile.periodic(4, 250.0),
+                  mode="steer_longitudinal", duration=60.0),
+    "fig21": dict(profile=CurvatureProfile.periodic(4, 50.0),
+                  mode="steer_longitudinal", duration=30.0,
+                  gains=ControlGains(a_lat_max=12.0)),
+}
+
+
 class TestScenarios:
+    @pytest.mark.parametrize("dt", [1e-3, 0.005])
+    def test_named_scenarios_are_pinned(self, dt):
+        assert FIGURES == ("fig13", "fig14", "fig16", "fig17", "fig18",
+                           "fig20", "fig21")
+        assert tuple(FIGURE_SETTINGS) == FIGURES
+        for name, settings in FIGURE_SETTINGS.items():
+            expected = Scenario(name=name, dt=dt, V=20.0, e0=-10.0,
+                                **settings)
+            got = named_scenario(name, dt) if dt != 1e-3 \
+                else named_scenario(name)
+            assert got == expected
+            assert repr(got) == repr(expected)
+        with pytest.raises(ValueError, match="unknown scenario 'fig15'"):
+            named_scenario("fig15")
+
+    def test_steps_max(self, monkeypatch):
+        """A run of more than STEPS_MAX steps is refused before anything is
+        allocated, naming dt below the default and duration otherwise."""
+        sc = named_scenario("fig13")
+        monkeypatch.setattr(sim_module, "STEPS_MAX", 30000)
+        replace(sc, duration=30.0)
+        with pytest.raises(ValueError, match="key 'duration': 30.001 s at "
+                           "dt = 0.001 s is more than 30000 steps"):
+            replace(sc, duration=30.001)
+        with pytest.raises(ValueError, match="key 'dt'"):
+            replace(sc, dt=5e-4)
+        with pytest.raises(ValueError, match="key 'duration'"):
+            replace(sc, dt=2e-3, duration=60.002)
+
     def test_determinism(self):
         sc = named_scenario("fig13")
         a = run_scenario(sc)
